@@ -1,10 +1,13 @@
 #include "core/query_retrieval.h"
 
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "kg/synthetic.h"
+#include "util/metric_names.h"
+#include "util/metrics.h"
 
 namespace chainsformer {
 namespace core {
@@ -162,6 +165,147 @@ TEST_F(RetrievalTest, DeduplicatesIdenticalChains) {
     EXPECT_TRUE(
         seen.insert({c.source_entity, c.source_attribute, rel_key}).second)
         << "duplicate chain retrieved";
+  }
+}
+
+// Golden retrieval. The literals below were recorded from the reference
+// walk loop, at the paper's N_s = 2048 walks (4·N_s attempts), on a graph
+// whose 3-hop neighbourhoods hold far fewer distinct chains than N_s — so
+// every call spends its whole attempt budget and meets duplicates and dead
+// ends. Any rewrite of the loop must reproduce them exactly: the same chains
+// in the same order, the same RNG stream position afterwards (FilterTopK's
+// kRandom space draws from that stream) and the same counter totals. Only
+// integer chain fields enter the digests, so the literals do not depend on
+// libm.
+struct GoldenRow {
+  RetrievalStrategy strategy;
+  bool same_attribute;
+  int num_walks;
+  uint64_t chain_digest;  // ToC sizes + every chain's integer fields, in order
+  int64_t total_chains;   // sum of the ToC sizes
+  uint64_t rng_digest;    // rng.Next() after each call
+  int64_t walks_taken;    // deltas of the four retrieval.* counters
+  int64_t walks_empty;
+  int64_t chains_generated;
+  int64_t duplicates_suppressed;
+};
+
+uint64_t Mix(uint64_t h, uint64_t v) {
+  return (h ^ v) * 0x100000001B3ull;  // FNV-1a over 64-bit words
+}
+
+int64_t CounterValue(const char* name) {
+  return metrics::MetricsRegistry::Global().Snapshot().CounterValue(name);
+}
+
+class GoldenRetrievalTest : public RetrievalTest {
+ protected:
+  static constexpr int kQueries = 24;
+
+  static std::vector<Query> GoldenQueries() {
+    const auto& test = Data().split.test;
+    std::vector<Query> queries;
+    for (int i = 0; i < kQueries; ++i) {
+      const auto& t = test[static_cast<size_t>(i) * test.size() / kQueries];
+      queries.push_back({t.entity, t.attribute});
+    }
+    return queries;
+  }
+
+  static GoldenRow Run(RetrievalStrategy strategy, bool same_attribute,
+                       int num_walks) {
+    namespace names = metrics::names;
+    constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ull;
+    QueryRetrieval retrieval(Data().graph, TrainIndex(), 3, num_walks, strategy);
+    GoldenRow row{strategy, same_attribute, num_walks, kFnvBasis, 0, kFnvBasis,
+                  0, 0, 0, 0};
+    const int64_t taken0 = CounterValue(names::kRetrievalWalksTaken);
+    const int64_t empty0 = CounterValue(names::kRetrievalWalksEmpty);
+    const int64_t generated0 = CounterValue(names::kRetrievalChainsGenerated);
+    const int64_t dups0 = CounterValue(names::kRetrievalDuplicatesSuppressed);
+    const std::vector<Query> queries = GoldenQueries();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      Rng rng(1000 + i);
+      const TreeOfChains toc =
+          same_attribute ? retrieval.RetrieveSameAttribute(queries[i], rng)
+                         : retrieval.Retrieve(queries[i], rng);
+      row.rng_digest = Mix(row.rng_digest, rng.Next());
+      row.total_chains += static_cast<int64_t>(toc.size());
+      uint64_t& h = row.chain_digest;
+      h = Mix(h, toc.size());
+      for (const RAChain& c : toc) {
+        h = Mix(h, static_cast<uint32_t>(c.source_entity));
+        h = Mix(h, static_cast<uint32_t>(c.source_attribute));
+        h = Mix(h, static_cast<uint32_t>(c.query_attribute));
+        h = Mix(h, c.relations.size());
+        for (kg::RelationId r : c.relations) h = Mix(h, static_cast<uint32_t>(r));
+      }
+    }
+    row.walks_taken = CounterValue(names::kRetrievalWalksTaken) - taken0;
+    row.walks_empty = CounterValue(names::kRetrievalWalksEmpty) - empty0;
+    row.chains_generated =
+        CounterValue(names::kRetrievalChainsGenerated) - generated0;
+    row.duplicates_suppressed =
+        CounterValue(names::kRetrievalDuplicatesSuppressed) - dups0;
+    return row;
+  }
+};
+
+TEST_F(GoldenRetrievalTest, WalksReproduceRecordedTreesOfChains) {
+  constexpr auto kUniform = RetrievalStrategy::kUniform;
+  constexpr auto kDegree = RetrievalStrategy::kDegreeWeighted;
+  constexpr auto kEvidence = RetrievalStrategy::kEvidenceBiased;
+  // The N_s = 32 row fills its ToC before the attempt budget runs out, which
+  // pins the other exit of the walk loop.
+  const GoldenRow kGolden[] = {
+      {kUniform, false, 2048, 0xA298E4132D3F6A69ull, 4268, 0xBA459610B90C28A0ull,
+       196608, 0, 4268, 103145},
+      {kUniform, true, 2048, 0x66988F53869416F6ull, 1177, 0xC9D622BFC0EDEBB5ull,
+       196608, 0, 1177, 25695},
+      {kDegree, false, 2048, 0x9F0269D2108137D6ull, 4341, 0x6D91C775133EF9F7ull,
+       196608, 0, 4341, 115221},
+      {kDegree, true, 2048, 0x1089836E5A4D29BCull, 1224, 0x9FD04DC034160019ull,
+       196608, 0, 1224, 31725},
+      {kEvidence, false, 2048, 0x027BAD910CF26EAAull, 4296, 0xD12575D17ACAB083ull,
+       196608, 0, 4296, 138444},
+      {kEvidence, true, 2048, 0x8681BFF23028843Eull, 1168, 0xB48FF97FCB7B3337ull,
+       196608, 0, 1168, 35813},
+      {kUniform, false, 32, 0x1C6A3C7F2BC5A1CFull, 645, 0xC6C5CA7E13324973ull,
+       2549, 0, 645, 737},
+  };
+  for (const GoldenRow& want : kGolden) {
+    const GoldenRow got = Run(want.strategy, want.same_attribute, want.num_walks);
+    SCOPED_TRACE(testing::Message()
+                 << "strategy " << static_cast<int>(want.strategy)
+                 << ", same_attribute " << want.same_attribute << ", N_s "
+                 << want.num_walks);
+    EXPECT_EQ(got.chain_digest, want.chain_digest);
+    EXPECT_EQ(got.total_chains, want.total_chains);
+    EXPECT_EQ(got.rng_digest, want.rng_digest);
+    EXPECT_EQ(got.walks_taken, want.walks_taken);
+    EXPECT_EQ(got.walks_empty, want.walks_empty);
+    EXPECT_EQ(got.chains_generated, want.chains_generated);
+    EXPECT_EQ(got.duplicates_suppressed, want.duplicates_suppressed);
+    EXPECT_EQ(got.chains_generated, got.total_chains);
+  }
+}
+
+TEST_F(GoldenRetrievalTest, CountChainsReproducesRecordedCounts) {
+  struct Row {
+    int query;
+    int hops;
+    int64_t chains;
+  };
+  const Row kGolden[] = {{0, 1, 2},   {0, 2, 11},   {0, 3, 55},
+                         {7, 1, 2},   {7, 2, 21},   {7, 3, 164},
+                         {15, 1, 12}, {15, 2, 103}, {15, 3, 641}};
+  const std::vector<Query> queries = GoldenQueries();
+  for (const Row& want : kGolden) {
+    const kg::EntityId entity = queries[static_cast<size_t>(want.query)].entity;
+    EXPECT_EQ(QueryRetrieval::CountChains(Data().graph, TrainIndex(), entity,
+                                          want.hops),
+              want.chains)
+        << "query " << want.query << ", " << want.hops << " hops";
   }
 }
 

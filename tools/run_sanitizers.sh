@@ -10,6 +10,8 @@
 #                             admin endpoint (HTTP scrape round-trips)
 #   - label `quantized`     — int8/bf16 kernels, quantized plan compilation,
 #                             and the checkpoint quant block (DESIGN §6g)
+#   - label `retrieval`     — the random-walk loop (inline path array, flat
+#                             dedup table) and its golden Tree-of-Chains test
 #   - label `lint`          — cf_lint source/docs/suppression checks and the
 #                             clang -Wthread-safety target; build-type
 #                             independent and cheap, included so sanitizer CI
@@ -33,9 +35,9 @@ run_config() {
     -DCMAKE_BUILD_TYPE="${build_type}" \
     -DCF_KERNELS_NATIVE_ARCH=OFF
   cmake --build "${build_dir}" -j
-  echo "=== ${name}: ctest -L 'threaded|sanitizer|observability|quantized|lint' ==="
+  echo "=== ${name}: ctest -L 'threaded|sanitizer|observability|quantized|retrieval|lint' ==="
   ctest --test-dir "${build_dir}" \
-    -L 'threaded|sanitizer|observability|quantized|lint' \
+    -L 'threaded|sanitizer|observability|quantized|retrieval|lint' \
     --output-on-failure
 }
 
