@@ -1,7 +1,9 @@
 #include "core/query_retrieval.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
+#include <utility>
+#include <vector>
 
 #include "util/logging.h"
 #include "util/metric_names.h"
@@ -10,6 +12,68 @@
 
 namespace chainsformer {
 namespace core {
+namespace {
+
+/// True when `e` is one of the path's entities. Paths hold at most
+/// max_hops + 1 entities, so a scan beats any set.
+bool OnPath(std::span<const kg::EntityId> path, kg::EntityId e) {
+  return std::find(path.begin(), path.end(), e) != path.end();
+}
+
+/// Duplicate key of the chain a walk would yield: its source entity, source
+/// attribute and relations in chain (source -> query) order. Walk edges go
+/// query -> source, so chain relation j is the inverse of walk edge l+1-j.
+/// Computed from the walk, so only chains with a new key get built.
+uint64_t ChainKey(kg::EntityId source_entity, kg::AttributeId source_attribute,
+                  std::span<const kg::RelationId> walk_relations) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) {
+    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+  };
+  mix(static_cast<uint32_t>(source_entity));
+  mix(static_cast<uint32_t>(source_attribute));
+  for (auto it = walk_relations.rbegin(); it != walk_relations.rend(); ++it) {
+    mix(static_cast<uint32_t>(kg::KnowledgeGraph::InverseRelation(*it)) | (1u << 30));
+  }
+  return h;
+}
+
+/// Set of 64-bit keys in one flat linear-probing table, sized once for at
+/// most `max_keys` inserts at load factor <= 1/2. Slot value 0 means empty,
+/// so a key of 0 is tracked by a flag: the set is exact over all 64-bit
+/// keys, like the std::unordered_set it replaces.
+class KeySet {
+ public:
+  explicit KeySet(size_t max_keys)
+      : slots_(std::bit_ceil(std::max<size_t>(2 * max_keys, 2)), 0),
+        shift_(64 - std::countr_zero(slots_.size())),
+        max_keys_(max_keys) {}
+
+  /// Inserts `key`; returns false when it was already present.
+  bool Insert(uint64_t key) {
+    if (key == 0) return !std::exchange(has_zero_, true);
+    const size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
+    for (size_t i = (key * 0x9E3779B97F4A7C15ull) >> shift_;; i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] == 0) {
+        CF_CHECK_LT(size_, max_keys_) << "KeySet over its insert budget";
+        ++size_;
+        slots_[i] = key;
+        return true;
+      }
+    }
+  }
+
+ private:
+  std::vector<uint64_t> slots_;
+  int shift_;
+  size_t max_keys_;
+  size_t size_ = 0;
+  bool has_zero_ = false;
+};
+
+}  // namespace
 
 QueryRetrieval::QueryRetrieval(const kg::KnowledgeGraph& graph,
                                const kg::NumericIndex& numeric, int max_hops,
@@ -24,10 +88,9 @@ QueryRetrieval::QueryRetrieval(const kg::KnowledgeGraph& graph,
   CF_CHECK_GE(num_walks, 1);
 }
 
-bool QueryRetrieval::SampleEdge(kg::EntityId current,
-                                const std::unordered_set<kg::EntityId>& on_path,
-                                Rng& rng, kg::Edge* out) const {
-  const auto neighbors = graph_.Neighbors(current);
+bool QueryRetrieval::SampleEdge(std::span<const kg::EntityId> path, Rng& rng,
+                                kg::Edge* out) const {
+  const auto neighbors = graph_.Neighbors(path.back());
   if (neighbors.empty()) return false;
   // A few tries to find an unvisited neighbor (cycle removal). Strategy
   // biases happen via weighted proposal, then the cycle check applies.
@@ -54,7 +117,7 @@ bool QueryRetrieval::SampleEdge(kg::EntityId current,
         break;
       }
     }
-    if (proposal != nullptr && on_path.count(proposal->neighbor) == 0) {
+    if (proposal != nullptr && !OnPath(path, proposal->neighbor)) {
       *out = *proposal;
       return true;
     }
@@ -89,46 +152,41 @@ TreeOfChains QueryRetrieval::RetrieveImpl(const Query& query, Rng& rng,
   TreeOfChains toc;
   toc.reserve(static_cast<size_t>(num_walks_));
   const int max_attempts = num_walks_ * 4;
-  std::vector<kg::RelationId> walk_relations;
-  std::unordered_set<kg::EntityId> on_path;
+  // The walk's entities (query first) and the relations it traversed, query
+  // -> source. Allocated once per call; a walk overwrites its prefix.
+  std::vector<kg::EntityId> path(static_cast<size_t>(max_hops_) + 1);
+  std::vector<kg::RelationId> walk_relations(static_cast<size_t>(max_hops_));
   // Duplicate suppression: the same (evidence fact, relation path) reached
   // by several walks adds no information but would crowd the top-k budget.
-  std::unordered_set<uint64_t> seen;
-  auto chain_key = [](const RAChain& c) {
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-      h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    };
-    mix(static_cast<uint32_t>(c.source_entity));
-    mix(static_cast<uint32_t>(c.source_attribute));
-    for (kg::RelationId r : c.relations) mix(static_cast<uint32_t>(r) | (1u << 30));
-    return h;
-  };
+  // Every key inserted is a chain kept, and the loop stops at num_walks_
+  // chains, which bounds the table.
+  KeySet seen(static_cast<size_t>(num_walks_));
+  // Counted here and published once per call, so walks share no cache line.
+  int64_t num_walks_taken = 0;
+  int64_t num_walks_empty = 0;
+  int64_t num_duplicates = 0;
 
   for (int attempt = 0;
        attempt < max_attempts && static_cast<int>(toc.size()) < num_walks_;
        ++attempt) {
-    walks_taken->Increment();
+    ++num_walks_taken;
     const int depth = static_cast<int>(rng.UniformInt(1, max_hops_));
-    kg::EntityId cur = query.entity;
-    walk_relations.clear();
-    on_path.clear();
-    on_path.insert(cur);
-
-    for (int step = 0; step < depth; ++step) {
+    path[0] = query.entity;
+    size_t steps = 0;
+    while (steps < static_cast<size_t>(depth)) {
       kg::Edge edge;
-      if (!SampleEdge(cur, on_path, rng, &edge)) break;
-      cur = edge.neighbor;
-      on_path.insert(cur);
-      walk_relations.push_back(edge.relation);
+      if (!SampleEdge({path.data(), steps + 1}, rng, &edge)) break;
+      walk_relations[steps] = edge.relation;
+      path[++steps] = edge.neighbor;
     }
-    if (walk_relations.empty()) {
-      walks_empty->Increment();
+    if (steps == 0) {
+      ++num_walks_empty;
       continue;
     }
 
     // Collect one (attribute, value) fact at the endpoint.
-    const auto facts = numeric_.Values(cur);
+    const kg::EntityId source = path[steps];
+    const auto facts = numeric_.Values(source);
     if (facts.empty()) continue;
     // Gather candidates (optionally restricted to the query attribute).
     size_t num_candidates = 0;
@@ -141,44 +199,47 @@ TreeOfChains QueryRetrieval::RetrieveImpl(const Query& query, Rng& rng,
     }
     if (num_candidates == 0) continue;
 
+    const std::span<const kg::RelationId> relations(walk_relations.data(), steps);
+    if (!seen.Insert(ChainKey(source, chosen.first, relations))) {
+      ++num_duplicates;
+      continue;
+    }
     RAChain chain;
     chain.source_attribute = chosen.first;
     chain.query_attribute = query.attribute;
     chain.source_value = chosen.second;
-    chain.source_entity = cur;
-    // Walk edges go query -> source; chain relations are source -> query:
-    // r_j = inverse(e_{l+1-j}).
-    chain.relations.reserve(walk_relations.size());
-    for (auto it = walk_relations.rbegin(); it != walk_relations.rend(); ++it) {
+    chain.source_entity = source;
+    // Chain relations run source -> query: r_j = inverse(e_{l+1-j}).
+    chain.relations.reserve(steps);
+    for (auto it = relations.rbegin(); it != relations.rend(); ++it) {
       chain.relations.push_back(kg::KnowledgeGraph::InverseRelation(*it));
     }
-    if (seen.insert(chain_key(chain)).second) {
-      chains_generated->Increment();
-      toc.push_back(std::move(chain));
-    } else {
-      duplicates->Increment();
-    }
+    toc.push_back(std::move(chain));
   }
+  walks_taken->Increment(num_walks_taken);
+  walks_empty->Increment(num_walks_empty);
+  chains_generated->Increment(static_cast<int64_t>(toc.size()));
+  duplicates->Increment(num_duplicates);
   toc_size->Observe(static_cast<double>(toc.size()));
   return toc;
 }
 
 namespace {
 
+/// `path` holds the entities from the start through `cur` = path.back().
 int64_t CountChainsDfs(const kg::KnowledgeGraph& graph,
-                       const kg::NumericIndex& numeric, kg::EntityId cur,
-                       int remaining_hops, std::unordered_set<kg::EntityId>& on_path,
-                       int64_t cap, int64_t* count) {
+                       const kg::NumericIndex& numeric, int remaining_hops,
+                       std::vector<kg::EntityId>& path, int64_t cap,
+                       int64_t* count) {
   if (*count >= cap) return *count;
-  for (const auto& e : graph.Neighbors(cur)) {
-    if (on_path.count(e.neighbor) != 0) continue;
+  for (const auto& e : graph.Neighbors(path.back())) {
+    if (OnPath(path, e.neighbor)) continue;
     *count += static_cast<int64_t>(numeric.Values(e.neighbor).size());
     if (*count >= cap) return *count;
     if (remaining_hops > 1) {
-      on_path.insert(e.neighbor);
-      CountChainsDfs(graph, numeric, e.neighbor, remaining_hops - 1, on_path, cap,
-                     count);
-      on_path.erase(e.neighbor);
+      path.push_back(e.neighbor);
+      CountChainsDfs(graph, numeric, remaining_hops - 1, path, cap, count);
+      path.pop_back();
     }
   }
   return *count;
@@ -190,9 +251,10 @@ int64_t QueryRetrieval::CountChains(const kg::KnowledgeGraph& graph,
                                     const kg::NumericIndex& numeric,
                                     kg::EntityId entity, int max_hops,
                                     int64_t cap) {
-  std::unordered_set<kg::EntityId> on_path{entity};
+  std::vector<kg::EntityId> path{entity};
+  path.reserve(static_cast<size_t>(std::max(max_hops, 0)) + 1);
   int64_t count = 0;
-  CountChainsDfs(graph, numeric, entity, max_hops, on_path, cap, &count);
+  CountChainsDfs(graph, numeric, max_hops, path, cap, &count);
   return std::min(count, cap);
 }
 

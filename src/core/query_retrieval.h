@@ -1,7 +1,7 @@
 #ifndef CHAINSFORMER_CORE_QUERY_RETRIEVAL_H_
 #define CHAINSFORMER_CORE_QUERY_RETRIEVAL_H_
 
-#include <unordered_set>
+#include <span>
 
 #include "core/config.h"
 #include "core/ra_chain.h"
@@ -16,6 +16,10 @@ namespace core {
 /// known numeric fact with the traversed relation path. Cycles are removed
 /// (walks never revisit an entity), and the query's own triple can never be
 /// used as evidence because walks have length >= 1 and are cycle-free.
+///
+/// A walk allocates nothing and touches no shared state: its path lives in
+/// a per-call array, duplicates are rejected by key before a chain is built,
+/// and the retrieval.* counters are published once per call (DESIGN §5a).
 class QueryRetrieval {
  public:
   /// `numeric` must index only the facts the model may see (training split).
@@ -46,10 +50,10 @@ class QueryRetrieval {
   TreeOfChains RetrieveImpl(const Query& query, Rng& rng,
                             bool same_attribute_only) const;
 
-  /// Picks the next edge under the configured strategy; returns false when
-  /// no admissible (unvisited) neighbor was found.
-  bool SampleEdge(kg::EntityId current,
-                  const std::unordered_set<kg::EntityId>& on_path, Rng& rng,
+  /// Picks the next edge out of `path.back()` under the configured
+  /// strategy; returns false when no admissible neighbor (one not on
+  /// `path`) was found.
+  bool SampleEdge(std::span<const kg::EntityId> path, Rng& rng,
                   kg::Edge* out) const;
 
   const kg::KnowledgeGraph& graph_;
