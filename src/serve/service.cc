@@ -188,6 +188,16 @@ InferenceService::~InferenceService() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
+size_t InferenceService::queue_depth() const {
+  cf::MutexLock lock(queue_mu_);
+  return queue_.size();
+}
+
+void InferenceService::SetBatchHookForTesting(std::function<void()> hook) {
+  cf::MutexLock lock(queue_mu_);
+  batch_hook_ = std::move(hook);
+}
+
 double InferenceService::Fallback(kg::AttributeId attribute) const {
   const auto a = static_cast<size_t>(attribute);
   return a < fallback_values_.size() ? fallback_values_[a] : 0.0;
@@ -348,6 +358,7 @@ void InferenceService::DispatchLoop() {
     std::vector<std::shared_ptr<Pending>> batch;
     bool shutting_down = false;
     uint64_t wake_ns = 0;
+    std::function<void()> hook;
     {
       cf::MutexLock lock(queue_mu_);
       queue_cv_.Wait(queue_mu_, [&]() CF_REQUIRES(queue_mu_) {
@@ -379,6 +390,7 @@ void InferenceService::DispatchLoop() {
       }
       shutting_down = shutdown_;
       if (batch.empty() && shutting_down) return;
+      hook = batch_hook_;
     }
     if (batch.empty()) continue;
 
@@ -396,6 +408,7 @@ void InferenceService::DispatchLoop() {
       continue;
     }
 
+    if (hook) hook();
     CF_TRACE_SCOPE("serve.batch");
     const int64_t batch_id = batch_seq_.fetch_add(1, std::memory_order_relaxed);
     const uint64_t collect_ns = trace::NowNs();

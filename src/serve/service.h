@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -164,6 +165,15 @@ class InferenceService {
   /// quantized weights, or calibration error over quant_error_budget).
   bool quant_rejected() const { return quant_rejected_; }
 
+  /// Requests queued for the dispatcher and not yet collected into a batch.
+  size_t queue_depth() const;
+
+  /// Test seam: `hook` runs on the dispatcher thread once per collected
+  /// micro-batch, after collection and before any model work on it, so a
+  /// test can hold the dispatcher at a known step instead of racing a wall
+  /// clock. An empty function (the default) clears it.
+  void SetBatchHookForTesting(std::function<void()> hook);
+
  private:
   struct Pending {
     // Filled by the client thread before the request is published to the
@@ -211,10 +221,11 @@ class InferenceService {
   /// Micro-batch sequence number (response/span annotation).
   std::atomic<int64_t> batch_seq_{0};
 
-  cf::Mutex queue_mu_{"serve.queue"};
+  mutable cf::Mutex queue_mu_{"serve.queue"};
   cf::CondVar queue_cv_;
   std::deque<std::shared_ptr<Pending>> queue_ CF_GUARDED_BY(queue_mu_);
   bool shutdown_ CF_GUARDED_BY(queue_mu_) = false;
+  std::function<void()> batch_hook_ CF_GUARDED_BY(queue_mu_);
   std::thread dispatcher_;
 };
 

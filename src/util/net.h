@@ -49,9 +49,9 @@ int ConnectTcp(const std::string& host, int port, int timeout_ms);
 /// Puts `fd` into O_NONBLOCK mode. Returns false on fcntl failure.
 bool SetNonBlocking(int fd);
 
-/// One accept() on a listener (blocking or not). Returns the new fd, or -1
-/// (errno EAGAIN/EWOULDBLOCK when a nonblocking listener has no pending
-/// connection — a normal return, not an error).
+/// One accept() on a listener (blocking or not). Returns the new fd with
+/// TCP_NODELAY set, or -1 (errno EAGAIN/EWOULDBLOCK when a nonblocking
+/// listener has no pending connection — a normal return, not an error).
 int AcceptConn(int listener);
 
 /// One read()/write() attempt, retrying EINTR only. Nonblocking fds return

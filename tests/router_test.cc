@@ -14,6 +14,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include "serve/async_server.h"
 #include "serve/router.h"
@@ -294,6 +297,25 @@ struct Client {
     return net::RecvLine(fd, &buffer, line, timeout_ms);
   }
 };
+
+// Accepted sockets disable Nagle's algorithm like connected ones do:
+// otherwise a pipelined response written while the previous one is still
+// unacknowledged waits for the client's delayed ACK (~40 ms).
+TEST(NetTest, AcceptedSocketsSetTcpNoDelay) {
+  const int listener = net::ListenTcp(0);
+  ASSERT_GE(listener, 0);
+  const int client = net::ConnectTcp("127.0.0.1", net::BoundPort(listener), 2000);
+  ASSERT_GE(client, 0);
+  const int accepted = net::AcceptConn(listener);
+  ASSERT_GE(accepted, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  EXPECT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_NE(nodelay, 0);
+  net::CloseFd(accepted);
+  net::CloseFd(client);
+  net::CloseFd(listener);
+}
 
 TEST(AsyncServerTest, EchoAndPerConnectionPipelining) {
   AsyncNdjsonServer server(EphemeralOptions(), [](const std::string& line) {
