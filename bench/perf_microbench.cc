@@ -59,7 +59,7 @@ void BM_QueryRetrieval(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * num_walks);
 }
-BENCHMARK(BM_QueryRetrieval)->Arg(32)->Arg(128)->Arg(512);
+BENCHMARK(BM_QueryRetrieval)->Arg(32)->Arg(128)->Arg(512)->Arg(2048);
 
 void BM_HyperbolicFilterScore(benchmark::State& state) {
   core::ChainsFormerConfig config;

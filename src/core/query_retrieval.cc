@@ -39,13 +39,14 @@ uint64_t ChainKey(kg::EntityId source_entity, kg::AttributeId source_attribute,
 }
 
 /// Set of 64-bit keys in one flat linear-probing table, sized once for at
-/// most `max_keys` inserts at load factor <= 1/2. Slot value 0 means empty,
-/// so a key of 0 is tracked by a flag: the set is exact over all 64-bit
-/// keys, like the std::unordered_set it replaces.
+/// most `max_keys` (>= 1) inserts at load factor <= 1/2. A slot holding 0 is
+/// empty, so a key of 0 is tracked by a flag: membership is exact for every
+/// 64-bit key, which keeps duplicate decisions (key collisions included)
+/// part of the bitwise retrieval contract.
 class KeySet {
  public:
   explicit KeySet(size_t max_keys)
-      : slots_(std::bit_ceil(std::max<size_t>(2 * max_keys, 2)), 0),
+      : slots_(std::bit_ceil(2 * max_keys), 0),
         shift_(64 - std::countr_zero(slots_.size())),
         max_keys_(max_keys) {}
 
@@ -153,9 +154,11 @@ TreeOfChains QueryRetrieval::RetrieveImpl(const Query& query, Rng& rng,
   toc.reserve(static_cast<size_t>(num_walks_));
   const int max_attempts = num_walks_ * 4;
   // The walk's entities (query first) and the relations it traversed, query
-  // -> source. Allocated once per call; a walk overwrites its prefix.
+  // -> source. Allocated once per call; each walk overwrites what follows
+  // the query entity.
   std::vector<kg::EntityId> path(static_cast<size_t>(max_hops_) + 1);
   std::vector<kg::RelationId> walk_relations(static_cast<size_t>(max_hops_));
+  path[0] = query.entity;
   // Duplicate suppression: the same (evidence fact, relation path) reached
   // by several walks adds no information but would crowd the top-k budget.
   // Every key inserted is a chain kept, and the loop stops at num_walks_
@@ -171,7 +174,6 @@ TreeOfChains QueryRetrieval::RetrieveImpl(const Query& query, Rng& rng,
        ++attempt) {
     ++num_walks_taken;
     const int depth = static_cast<int>(rng.UniformInt(1, max_hops_));
-    path[0] = query.entity;
     size_t steps = 0;
     while (steps < static_cast<size_t>(depth)) {
       kg::Edge edge;
