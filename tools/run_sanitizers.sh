@@ -10,7 +10,7 @@
 #                             admin endpoint (HTTP scrape round-trips)
 #   - label `quantized`     — int8/bf16 kernels, quantized plan compilation,
 #                             and the checkpoint quant block (DESIGN §6g)
-#   - label `retrieval`     — the random-walk loop (inline path array, flat
+#   - label `retrieval`     — the random-walk loop (path array, flat
 #                             dedup table) and its golden Tree-of-Chains test
 #   - label `lint`          — cf_lint source/docs/suppression checks and the
 #                             clang -Wthread-safety target; build-type
