@@ -1,22 +1,18 @@
-// Reduced-precision recorder (DESIGN §6g): measures what quantization buys
-// and what it costs, and writes both to a JSON file the acceptance gate can
-// read.
+// int8 recorder (DESIGN §6g): measures what quantization buys and what it
+// costs, and writes both to a JSON file the acceptance gate can read.
 //
 //   speed    — the Linear-step kernels head to head at encoder shapes:
 //              fp32 GemmAccSerial vs the full int8 pipeline (dynamic row
 //              quantization + int32 GEMM + dequant/bias epilogue — the whole
-//              bill, not just the GEMM) vs the bf16 storage GEMM.
-//              perf_microbench enforces the >= 2x floor on every run; this
-//              binary records the measured ratios alongside the accuracy
-//              numbers so one artifact holds the whole trade.
-//   accuracy — mean |normalized quantized - normalized fp64| over held-out
-//              queries, per precision. int8 runs through CalibrateQuantStore
-//              (the same measurement the training tool persists into the
-//              checkpoint and the serve-time budget gate checks); bf16 runs
-//              the same loop over kBf16 plans. Both must land inside their
-//              documented budgets: int8 within ServeOptions.quant_error_budget
-//              (0.05 normalized), bf16 within the tighter 0.01 the runtime
-//              uses as its default bf16 verify tolerance.
+//              bill, not just the GEMM). perf_microbench enforces the >= 2x
+//              floor on every run; this binary records the measured ratios
+//              alongside the accuracy numbers so one artifact holds the
+//              whole trade.
+//   accuracy — mean |normalized int8 - normalized fp64| over held-out
+//              queries, through CalibrateQuantStore (the same measurement
+//              the training tool persists into the checkpoint and the
+//              serve-time budget gate checks). It must land inside
+//              ServeOptions.quant_error_budget (0.05 normalized).
 //
 // Usage:
 //   bench_quant [--out=BENCH_quant.json] [--hidden-dim=64] [--epochs=1]
@@ -26,18 +22,12 @@
 // CF_TRACE_JSON, CF_METRICS_JSON, CF_STATS).
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "graph/executor.h"
-#include "graph/plan.h"
 #include "graph/quant.h"
 #include "serve/service.h"
 #include "tensor/kernels.h"
@@ -51,17 +41,10 @@ namespace {
 
 namespace k = tensor::kernels;
 
-int64_t MaxTokens(const core::TreeOfChains& chains) {
-  int64_t mx = 0;
-  for (const core::RAChain& c : chains) mx = std::max(mx, c.length() + 3);
-  return mx;
-}
-
 struct ShapeTiming {
   int64_t m = 0, d = 0, n = 0;
   double fp32_us = 0.0;
   double int8_us = 0.0;  // quantize + int32 GEMM + dequant/bias
-  double bf16_us = 0.0;
 };
 
 double MedianOfTrials(int trials, int iters,
@@ -78,8 +61,8 @@ double MedianOfTrials(int trials, int iters,
   return samples[samples.size() / 2];
 }
 
-/// One Linear step (activations [m, d] x weights [d, n] + bias) timed in all
-/// three numeric modes. The int8 time includes the per-call activation
+/// One Linear step (activations [m, d] x weights [d, n] + bias) timed in
+/// both numeric modes. The int8 time includes the per-call activation
 /// quantization and the dequant epilogue — the serving executor pays both on
 /// every step, so a GEMM-only number would overstate the win.
 ShapeTiming TimeShape(int64_t m, int64_t d, int64_t n, int trials, int iters) {
@@ -118,50 +101,7 @@ ShapeTiming TimeShape(int64_t m, int64_t d, int64_t n, int trials, int iters) {
     k::DequantBiasRows(m, pack, acc.data(), row_scale.data(), row_min.data(),
                        bias.data(), /*gelu=*/false, c.data());
   });
-
-  const k::Bf16Pack bpack = k::PackBf16Weights(d, n, b.data());
-  timing.bf16_us = MedianOfTrials(trials, iters, [&] {
-    std::fill(c.begin(), c.end(), 0.0f);
-    k::Bf16GemmAccSerial(m, bpack, a.data(), c.data());
-    k::BiasAddRows(c.data(), bias.data(), m, n, c.data());
-  });
   return timing;
-}
-
-/// bf16 twin of CalibrateQuantStore: compiles kBf16 plans per exact
-/// (k, max_tokens) geometry and measures the normalized drift against the
-/// eager fp64 path on the same held-out queries.
-double Bf16MaeDelta(const core::ChainsFormerModel& model,
-                    const std::vector<core::Query>& queries, int64_t* n_out) {
-  std::map<std::pair<int64_t, int64_t>,
-           std::pair<std::shared_ptr<const graph::Plan>,
-                     std::unique_ptr<graph::PlanExecutor>>>
-      plans;
-  double sum_abs = 0.0;
-  int64_t n = 0;
-  for (const core::Query& query : queries) {
-    const core::TreeOfChains chains = model.RetrieveChains(query);
-    if (chains.empty()) continue;
-    const std::vector<core::BatchPrediction> eager =
-        model.PredictOnChainSets({query}, {&chains});
-    const int64_t kk = static_cast<int64_t>(chains.size());
-    const int64_t len = MaxTokens(chains);
-    auto& slot = plans[{kk, len}];
-    if (slot.first == nullptr) {
-      slot.first = std::make_shared<const graph::Plan>(graph::CompilePlan(
-          model, kk, len, graph::Precision::kBf16, nullptr));
-      slot.second = std::make_unique<graph::PlanExecutor>(slot.first);
-    }
-    const double compiled_norm = std::clamp(
-        static_cast<double>(slot.second->RunNormalized(chains)), -0.1, 1.1);
-    const double eager_norm =
-        model.train_stats()[static_cast<size_t>(query.attribute)].Normalize(
-            eager[0].value);
-    sum_abs += std::abs(compiled_norm - eager_norm);
-    ++n;
-  }
-  *n_out = n;
-  return n > 0 ? sum_abs / static_cast<double>(n) : 0.0;
 }
 
 int Main(int argc, char** argv) {
@@ -187,10 +127,10 @@ int Main(int argc, char** argv) {
     const ShapeTiming& t = timings.back();
     std::printf(
         "linear m=%-3lld d=%-4lld n=%-4lld  fp32 %7.2fus  int8 %7.2fus "
-        "(%.2fx)  bf16 %7.2fus (%.2fx)\n",
+        "(%.2fx)\n",
         static_cast<long long>(t.m), static_cast<long long>(t.d),
         static_cast<long long>(t.n), t.fp32_us, t.int8_us,
-        t.fp32_us / t.int8_us, t.bf16_us, t.fp32_us / t.bf16_us);
+        t.fp32_us / t.int8_us);
   }
 
   // ---- Accuracy: normalized drift vs fp64 on held-out queries ------------
@@ -209,25 +149,18 @@ int Main(int argc, char** argv) {
 
   graph::QuantStore store = graph::BuildQuantStore(model);
   graph::CalibrateQuantStore(model, held_out, &store);
-  int64_t bf16_queries = 0;
-  const double bf16_mae = Bf16MaeDelta(model, held_out, &bf16_queries);
 
-  // The budgets the serving stack enforces: the service's checkpoint gate
-  // for int8 and the runtime's default bf16 parity tolerance.
+  // The budget the serving stack enforces: the service's checkpoint gate.
   const double int8_budget = serve::ServeOptions().quant_error_budget;
-  const double bf16_budget = 0.01;
   std::printf("int8 MAE delta %.6f over %lld held-out queries (budget %.3f)\n",
               store.mae_delta,
               static_cast<long long>(store.calibration_queries), int8_budget);
-  std::printf("bf16 MAE delta %.6f over %lld held-out queries (budget %.3f)\n",
-              bf16_mae, static_cast<long long>(bf16_queries), bf16_budget);
 
-  // The acceptance gate: both precisions inside their documented budgets,
-  // bf16 under the tighter one, measured on >= 100 held-out queries.
+  // The acceptance gate: int8 inside its documented budget, measured on
+  // >= 100 held-out queries.
   CF_CHECK_LE(std::min<int64_t>(100, want_queries), store.calibration_queries)
       << "too few held-out queries had retrievable chains";
   CF_CHECK_LE(store.mae_delta, int8_budget);
-  CF_CHECK_LE(bf16_mae, bf16_budget);
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -243,20 +176,17 @@ int Main(int argc, char** argv) {
     const ShapeTiming& t = timings[i];
     std::fprintf(f,
                  "    {\"m\": %lld, \"d\": %lld, \"n\": %lld, "
-                 "\"fp32_us\": %.3f, \"int8_us\": %.3f, \"bf16_us\": %.3f, "
-                 "\"int8_speedup\": %.3f, \"bf16_speedup\": %.3f}%s\n",
+                 "\"fp32_us\": %.3f, \"int8_us\": %.3f, "
+                 "\"int8_speedup\": %.3f}%s\n",
                  static_cast<long long>(t.m), static_cast<long long>(t.d),
-                 static_cast<long long>(t.n), t.fp32_us, t.int8_us, t.bf16_us,
-                 t.fp32_us / t.int8_us, t.fp32_us / t.bf16_us,
-                 i + 1 < timings.size() ? "," : "");
+                 static_cast<long long>(t.n), t.fp32_us, t.int8_us,
+                 t.fp32_us / t.int8_us, i + 1 < timings.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"calibration_queries\": %lld,\n",
                static_cast<long long>(store.calibration_queries));
   std::fprintf(f, "  \"int8_mae_delta\": %.6f,\n", store.mae_delta);
-  std::fprintf(f, "  \"int8_error_budget\": %.3f,\n", int8_budget);
-  std::fprintf(f, "  \"bf16_mae_delta\": %.6f,\n", bf16_mae);
-  std::fprintf(f, "  \"bf16_error_budget\": %.3f\n", bf16_budget);
+  std::fprintf(f, "  \"int8_error_budget\": %.3f\n", int8_budget);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());

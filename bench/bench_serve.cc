@@ -4,12 +4,11 @@
 // and micro-batched (duplicate requests coalesce, unique forwards share a
 // dispatch, DESIGN §6e) — crossed with the dispatch backend: eager tape
 // interpretation vs the compiled static-graph plans (DESIGN §6f,
-// --static-graph, the shipping default). The batched-static cell is
-// additionally swept over the serving precision (fp64 / bf16 / int8,
-// DESIGN §6g) at every client count, and the summary records the WORST int8
-// vs fp64 cell — the acceptance bar is a win everywhere, not on average. A
-// batch-window sweep runs at the highest client count. Each (mode, graph,
-// clients) cell runs two workloads:
+// --static-graph, the shipping default). The batched-static cell also runs
+// at int8 precision (DESIGN §6g) at every client count, and the summary
+// records the WORST int8 vs fp64 cell — the acceptance bar is a win
+// everywhere, not on average. A batch-window sweep runs at the highest
+// client count. Each (mode, graph, clients) cell runs two workloads:
 //
 //   uniform — every request strides over the full working set. Measures raw
 //             dispatch overhead; on a single hardware thread batched and
@@ -187,7 +186,7 @@ struct Record {
   std::string mode;       // "single" or "batched"
   std::string graph;      // "eager" or "static" (compiled-plan dispatch)
   std::string workload;   // "uniform" or "hotspot"
-  std::string precision;  // "fp64", "bf16" or "int8" (DESIGN §6g)
+  std::string precision;  // "fp64" or "int8" (DESIGN §6g)
   int client_threads = 0;
   int64_t batch_window_us = 0;
   int max_batch = 0;
@@ -646,14 +645,10 @@ int Main(int argc, char** argv) {
         single_hot_at_max = sh;
         batched_hot_at_max = bh;
         // Reduced-precision dimension (DESIGN §6g): the same shipping cell
-        // (batched static dispatch) at bf16 and int8, so every client count
-        // records the quantization speedup on both workloads.
-        for (const char* precision : {"bf16", "int8"}) {
-          run("batched", graph, "uniform", threads, default_window, 32,
-              precision);
-          run("batched", graph, "hotspot", threads, default_window, 32,
-              precision);
-        }
+        // (batched static dispatch) at int8, so every client count records
+        // the quantization speedup on both workloads.
+        run("batched", graph, "uniform", threads, default_window, 32, "int8");
+        run("batched", graph, "hotspot", threads, default_window, 32, "int8");
       }
     }
   }

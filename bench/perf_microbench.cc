@@ -201,26 +201,6 @@ void BM_Int8LinearForward(benchmark::State& state) {
 BENCHMARK(BM_Int8LinearForward)
     ->Args({16, 64})->Args({48, 128})->Args({48, 256});
 
-void BM_Bf16LinearForward(benchmark::State& state) {
-  const int64_t m = state.range(0), d = state.range(1);
-  Rng rng(24);
-  std::vector<float> a(static_cast<size_t>(m * d));
-  std::vector<float> b(static_cast<size_t>(d * d));
-  for (auto& x : a) x = static_cast<float>(rng.Normal());
-  for (auto& x : b) x = static_cast<float>(rng.Normal());
-  const tensor::kernels::Bf16Pack pack =
-      tensor::kernels::PackBf16Weights(d, d, b.data());
-  std::vector<float> c(static_cast<size_t>(m * d));
-  for (auto _ : state) {
-    std::fill(c.begin(), c.end(), 0.0f);
-    tensor::kernels::Bf16GemmAccSerial(m, pack, a.data(), c.data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * m * d * d);
-}
-BENCHMARK(BM_Bf16LinearForward)
-    ->Args({16, 64})->Args({48, 128})->Args({48, 256});
-
 // Observability layer overhead: the disabled tracer path (one relaxed atomic
 // load + branch), the enabled path (clock reads + ring write), and a
 // counter/histogram update.

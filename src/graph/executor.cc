@@ -281,13 +281,6 @@ float PlanExecutor::RunNormalized(const core::TreeOfChains& chains) {
                                  a + st.out);
         break;
       }
-      case StepKind::kGemmBf16: {
-        const auto& pack = plan_->bf16_packs[static_cast<size_t>(st.extra)];
-        float* out = a + st.out;
-        std::fill(out, out + st.m * st.n, 0.0f);
-        kernels::Bf16GemmAccSerial(st.m, pack, a + st.in0, out);
-        break;
-      }
       case StepKind::kDot: {
         const float* x = a + st.in0;
         const float* y = a + st.in1;

@@ -50,7 +50,7 @@ class PlanExecutor {
   std::vector<int64_t> end_rows_;
   std::vector<int64_t> lengths_;
   // Int8 working set (sized once from the plan's quant maxima; empty in
-  // fp64/bf16 plans): activation codes, int32 accumulators, and per-row
+  // fp64 plans): activation codes, int32 accumulators, and per-row
   // dynamic-quantization facts handed from kGemmInt8 to the dequant step.
   std::vector<uint8_t> qa_;
   std::vector<int32_t> qacc_;

@@ -162,15 +162,10 @@ class Compiler {
       return out_buf;
     }
     const int64_t gemm = NewBuf(rows * out_f);
-    Step& g = Push(precision_ == Precision::kBf16 ? StepKind::kGemmBf16
-                                                  : StepKind::kGemm);
+    Step& g = Push(StepKind::kGemm);
     g.in0 = in;
     g.out = gemm;
-    if (precision_ == Precision::kBf16) {
-      g.extra = Bf16PackIndex(lin);
-    } else {
-      g.w0 = Pin(lin.weight());
-    }
+    g.w0 = Pin(lin.weight());
     g.m = rows;
     g.k = in_f;
     g.n = out_f;
@@ -200,19 +195,6 @@ class Compiler {
     plan_.int8_packs.push_back(tensor::kernels::PackInt8Weights(
         q.in, q.out, q.codes.data(), q.scale.data()));
     const int64_t idx = static_cast<int64_t>(plan_.int8_packs.size()) - 1;
-    pack_index_[wp] = idx;
-    return idx;
-  }
-
-  /// Index into plan_.bf16_packs, rounding the frozen fp32 weights to
-  /// bfloat16 on first use (bf16 needs no checkpoint-side store).
-  int64_t Bf16PackIndex(const Linear& lin) {
-    const float* wp = lin.weight().data().data();
-    auto it = pack_index_.find(wp);
-    if (it != pack_index_.end()) return it->second;
-    plan_.bf16_packs.push_back(tensor::kernels::PackBf16Weights(
-        lin.in_features(), lin.out_features(), wp));
-    const int64_t idx = static_cast<int64_t>(plan_.bf16_packs.size()) - 1;
     pack_index_[wp] = idx;
     return idx;
   }

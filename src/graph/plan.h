@@ -51,13 +51,12 @@ enum class StepKind : uint8_t {
   kFill,               // out[0..m) = scalar
   kDot,                // out[0] = float(sum_i double(float(in0[i]*in1[i])))
   // Reduced-precision Linear lowering (DESIGN §6g). These replace the
-  // kGemm + kBiasAdd/kBiasGelu pair when the plan's precision is not kFp64;
-  // `extra` indexes Plan::int8_packs / bf16_packs.
+  // kGemm + kBiasAdd/kBiasGelu pair when the plan's precision is kInt8;
+  // `extra` indexes Plan::int8_packs.
   kGemmInt8,           // quantize arena[in0][m,k] rows + int8 GEMM into the
                        // executor's int32 scratch (out unused)
   kDequantBias,        // arena[out][m,n] = dequant(scratch) + w0 bias
   kDequantBiasGelu,    // same, with fused GELU
-  kGemmBf16,           // out[m,n] = arena[in0][m,k] * bf16(w)[k,n], fp32 acc
 };
 
 /// Host-side int64 index array a gather step reads (filled by the executor's
@@ -118,7 +117,6 @@ struct Plan {
   // itself stays float-only).
   Precision precision = Precision::kFp64;
   std::vector<tensor::kernels::Int8Pack> int8_packs;
-  std::vector<tensor::kernels::Bf16Pack> bf16_packs;
   int64_t quant_rows = 0;       // max m over kGemmInt8 steps
   int64_t quant_qa_elems = 0;   // max m * padded-k (uint8 activation codes)
   int64_t quant_acc_elems = 0;  // max m * padded-n (int32 accumulators)
@@ -146,8 +144,7 @@ Plan CompilePlan(const core::ChainsFormerModel& model, int64_t k,
 /// Reduced-precision compilation: identical program shape, but every Linear
 /// kGemm lowers to the precision's step kinds. kInt8 requires a QuantStore
 /// whose rows came from BuildQuantStore on this model (matched against the
-/// QuantizableLinears walk by name and shape); kBf16 packs bf16 weights
-/// directly from the frozen fp32 parameters and ignores `store`.
+/// QuantizableLinears walk by name and shape); kFp64 ignores `store`.
 Plan CompilePlan(const core::ChainsFormerModel& model, int64_t k,
                  int64_t max_len, Precision precision,
                  const QuantStore* store);

@@ -54,8 +54,6 @@ const char* PrecisionName(Precision p) {
   switch (p) {
     case Precision::kFp64:
       return "fp64";
-    case Precision::kBf16:
-      return "bf16";
     case Precision::kInt8:
       return "int8";
   }
@@ -66,10 +64,6 @@ bool ParsePrecision(const std::string& text, Precision* out) {
   CF_CHECK(out != nullptr);
   if (text == "fp64" || text == "fp32") {
     *out = Precision::kFp64;
-    return true;
-  }
-  if (text == "bf16") {
-    *out = Precision::kBf16;
     return true;
   }
   if (text == "int8") {

@@ -27,16 +27,15 @@ namespace graph {
 ///
 /// `kFp64` is the historical name for the full-precision path (fp32 storage
 /// with double accumulation in the reductions); the CLI accepts "fp32" as an
-/// alias. `kBf16` stores weights as bfloat16 and accumulates in fp32.
-/// `kInt8` runs per-output-channel symmetric int8 weights against
+/// alias. `kInt8` runs per-output-channel symmetric int8 weights against
 /// dynamically quantized 7-bit activations with int32 accumulation.
-enum class Precision : uint8_t { kFp64 = 0, kBf16 = 1, kInt8 = 2 };
+enum class Precision : uint8_t { kFp64, kInt8 };
 
-/// Canonical lowercase name ("fp64", "bf16", "int8").
+/// Canonical lowercase name ("fp64", "int8").
 const char* PrecisionName(Precision p);
 
-/// Parses "fp64" / "fp32" (alias) / "bf16" / "int8". Returns false on any
-/// other spelling, leaving *out untouched.
+/// Parses "fp64" / "fp32" (alias) / "int8". Returns false on any other
+/// spelling, leaving *out untouched.
 bool ParsePrecision(const std::string& text, Precision* out);
 
 /// Per-output-channel symmetric int8 quantization of one frozen Linear's

@@ -34,21 +34,6 @@ bool BitwiseEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-// Default first-use parity tolerances (normalized prediction space). The
-// bf16 budget is tighter: bf16 only rounds weight storage to 8 mantissa
-// bits while int8 also quantizes activations dynamically.
-double DefaultTolerance(Precision p) {
-  switch (p) {
-    case Precision::kFp64:
-      return 0.0;
-    case Precision::kBf16:
-      return 0.01;
-    case Precision::kInt8:
-      return 0.05;
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model)
@@ -56,10 +41,11 @@ StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model)
 
 StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model,
                                        RuntimeOptions options)
-    : model_(model), options_(std::move(options)) {
-  tolerance_ = options_.verify_tolerance >= 0.0
-                   ? options_.verify_tolerance
-                   : DefaultTolerance(options_.precision);
+    : model_(model),
+      options_(std::move(options)),
+      tolerance_(options_.precision == Precision::kInt8
+                     ? options_.verify_tolerance
+                     : 0.0) {
   auto& reg = metrics::MetricsRegistry::Global();
   hits_ = reg.GetCounter(metrics::names::kPlanCacheHits);
   misses_ = reg.GetCounter(metrics::names::kPlanCacheMisses);
@@ -70,6 +56,7 @@ StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model,
   CF_CHECK(Supports(model)) << "static graphs require the Transformer encoder";
   CF_CHECK(options_.precision != Precision::kInt8 || options_.quant != nullptr)
       << "int8 serving requires the checkpoint's quantization store";
+  CF_CHECK_GE(options_.verify_tolerance, 0.0);
 }
 
 bool StaticGraphRuntime::Supports(const core::ChainsFormerModel& model) {

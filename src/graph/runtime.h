@@ -22,10 +22,9 @@ namespace graph {
 struct RuntimeOptions {
   Precision precision = Precision::kFp64;
   // Maximum |normalized compiled - normalized eager| the first-use parity
-  // gate accepts in a quantized mode; a negative value selects the
-  // per-precision default (kInt8: 0.05, kBf16: 0.01). Ignored for kFp64,
-  // which keeps the bitwise gate.
-  double verify_tolerance = -1.0;
+  // gate accepts in kInt8 mode; must be >= 0. Ignored for kFp64, which keeps
+  // the bitwise gate and reports a tolerance of 0.
+  double verify_tolerance = 0.05;
   // Required when precision == kInt8: the checkpoint's quantized weights
   // (rows must match this model's QuantizableLinears walk).
   std::shared_ptr<const QuantStore> quant;
@@ -113,7 +112,7 @@ class StaticGraphRuntime {
 
   const core::ChainsFormerModel& model_;
   const RuntimeOptions options_;
-  double tolerance_ = 0.0;
+  const double tolerance_;
   metrics::Counter* hits_;
   metrics::Counter* misses_;
   metrics::Counter* verify_failures_;

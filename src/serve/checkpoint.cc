@@ -379,13 +379,6 @@ bool SaveModel(const core::ChainsFormerModel& model,
   return out.good();
 }
 
-bool IsModelCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  return in.good() && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
-}
-
 std::unique_ptr<core::ChainsFormerModel> LoadModel(
     const kg::Dataset& dataset, const core::ChainsFormerConfig& base_config,
     const std::string& path, graph::QuantStore* quant_out) {

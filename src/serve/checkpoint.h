@@ -70,10 +70,6 @@ std::unique_ptr<core::ChainsFormerModel> LoadModel(
     const kg::Dataset& dataset, const core::ChainsFormerConfig& base_config,
     const std::string& path, graph::QuantStore* quant_out = nullptr);
 
-/// True iff `path` starts with the CFSM magic. Lets callers route legacy
-/// raw-tensor ("CFTN") checkpoints to ChainsFormerModel::LoadCheckpoint.
-bool IsModelCheckpoint(const std::string& path);
-
 }  // namespace serve
 }  // namespace chainsformer
 

@@ -215,7 +215,7 @@ std::string Router::DegradedResponse(const std::string& line) const {
   const bool has_id = JsonField(line, "id", &id);
   if (!JsonField(line, "trace_id", &trace_id)) trace_id = "0";
   std::string r = "{";
-  if (has_id) r += "\"id\": " + id + ", ";
+  if (has_id) r += "\"id\": " + JsonNumberOrString(id) + ", ";
   r += "\"trace_id\": \"" + EscapeJson(trace_id) +
        "\", \"value\": 0, \"degraded\": true, \"source\": \"shard_down\", "
        "\"latency_us\": 0, \"batch_size\": 0}";
@@ -254,7 +254,7 @@ std::string Router::HandleLine(const std::string& line) {
     std::string id;
     const bool has_id = JsonField(line, "id", &id);
     std::string r = "{";
-    if (has_id) r += "\"id\": " + id + ", ";
+    if (has_id) r += "\"id\": " + JsonNumberOrString(id) + ", ";
     return r + "\"error\": \"request needs \\\"entity\\\" for routing\"}";
   }
 

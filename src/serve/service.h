@@ -54,12 +54,12 @@ struct ServeOptions {
   /// allocation-free once a bucket is warm. Ignored when the model's
   /// geometry is unsupported (non-Transformer encoder).
   bool use_static_graph = true;
-  /// Numeric mode of the static-graph Linear steps (DESIGN §6g). kBf16 and
-  /// kInt8 require use_static_graph; kInt8 additionally requires `quant`.
+  /// Numeric mode of the static-graph Linear steps (DESIGN §6g). kInt8
+  /// requires use_static_graph and `quant`.
   graph::Precision precision = graph::Precision::kFp64;
-  /// First-use parity tolerance forwarded to the runtime; negative selects
-  /// the per-precision default.
-  double verify_tolerance = -1.0;
+  /// First-use parity tolerance of int8 buckets, forwarded to the runtime
+  /// (normalized space, >= 0); fp64 buckets keep the bitwise gate.
+  double verify_tolerance = 0.05;
   /// Accuracy gate for int8 serving: when the checkpoint's recorded
   /// calibration error (quant->mae_delta, normalized space) exceeds this
   /// budget — or no quantized weights were loaded at all — the service

@@ -546,39 +546,6 @@ void Int8CoreRows(int64_t i0, int64_t i1, const Int8Pack& b, const uint8_t* qa,
   Int8RowsScalar(i0, i1, b.k_padded, b.n_padded, b.data.data(), qa, acc);
 }
 
-// bf16 GEMM core: widens one kKC x kNC weight panel to exact float32 scratch
-// and runs the float strip kernels over it — same blocked structure as
-// GemmCoreRows, same per-row accumulation order, so the result is invariant
-// to the row partition (threads).
-void Bf16CoreRows(int64_t i0, int64_t i1, int64_t k, int64_t n, const float* a,
-                  const uint16_t* b, float* c) {
-  thread_local std::vector<float> panel;
-#ifdef CF_GEMM_X86
-  const bool avx2 = HasAvx2Fma();
-#endif
-  for (int64_t jc = 0; jc < n; jc += kNC) {
-    const int64_t nc = std::min(kNC, n - jc);
-    for (int64_t pc = 0; pc < k; pc += kKC) {
-      const int64_t kc = std::min(kKC, k - pc);
-      panel.resize(static_cast<size_t>(kc * nc));
-      float* dst = panel.data();
-      for (int64_t kk = 0; kk < kc; ++kk) {
-        const uint16_t* src = b + (pc + kk) * n + jc;
-        for (int64_t j = 0; j < nc; ++j) {
-          dst[kk * nc + j] = FloatFromBf16(src[j]);
-        }
-      }
-#ifdef CF_GEMM_X86
-      if (avx2) {
-        StripAvx2(i0, i1, k, n, pc, jc, kc, nc, a, dst, c);
-        continue;
-      }
-#endif
-      StripScalar(i0, i1, k, n, pc, jc, kc, nc, a, dst, c);
-    }
-  }
-}
-
 // dst[cols, rows] = src[rows, cols]^T, blocked for cache locality.
 void TransposeInto(const float* src, int64_t rows, int64_t cols, float* dst) {
   constexpr int64_t kB = 32;
@@ -772,15 +739,6 @@ Int8Pack PackInt8Weights(int64_t k, int64_t n, const int8_t* q,
   return pack;
 }
 
-Bf16Pack PackBf16Weights(int64_t k, int64_t n, const float* b) {
-  Bf16Pack pack;
-  pack.k = k;
-  pack.n = n;
-  pack.data.resize(static_cast<size_t>(k * n));
-  for (int64_t i = 0; i < k * n; ++i) pack.data[i] = Bf16FromFloat(b[i]);
-  return pack;
-}
-
 void QuantizeActivationRows(int64_t m, int64_t k, int64_t k_padded,
                             const float* a, uint8_t* q, float* row_scale,
                             float* row_min) {
@@ -862,19 +820,6 @@ void DequantBiasRows(int64_t m, const Int8Pack& b, const int32_t* acc,
       for (j = 0; j < n; ++j) cr[j] = GeluScalar(cr[j]);
     }
   }
-}
-
-void Bf16GemmAccSerial(int64_t m, const Bf16Pack& b, const float* a, float* c) {
-  Bf16CoreRows(0, m, b.k, b.n, a, b.data.data(), c);
-}
-
-void Bf16GemmAcc(int64_t m, const Bf16Pack& b, const float* a, float* c) {
-  const int64_t k = b.k;
-  const int64_t n = b.n;
-  const uint16_t* data = b.data.data();
-  ParallelRanges(m, k * n, [=](int64_t i0, int64_t i1) {
-    Bf16CoreRows(i0, i1, k, n, a, data, c);
-  });
 }
 
 }  // namespace kernels

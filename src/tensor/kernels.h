@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -70,21 +69,18 @@ int64_t CountNonFinite(const float* x, int64_t n);
 void ParallelRanges(int64_t n, int64_t cost_per_item,
                     const std::function<void(int64_t, int64_t)>& fn);
 
-// ---- Reduced-precision weight storage + GEMM paths (DESIGN §6g) ------------
+// ---- int8 weight storage + GEMM path (DESIGN §6g) ---------------------------
 //
-// Inference-only weight formats for the static-graph serve path. Weights are
-// frozen at serve time, so they can be stored once in a reduced format and
-// streamed through a cheaper inner loop; activations stay float32 and are
-// quantized per row on the fly (int8 path) or untouched (bf16 path). The
-// accuracy-sensitive ops — Poincaré distance, LayerNorm, softmax — never go
-// through these kernels.
+// Inference-only int8 weight format for the static-graph serve path. Weights
+// are frozen at serve time, so they can be quantized once and streamed
+// through a cheaper inner loop; activations stay float32 and are quantized
+// per row on the fly. The accuracy-sensitive ops — Poincaré distance,
+// LayerNorm, softmax — never go through these kernels.
 //
 // Determinism: the int8 path accumulates in exact int32 arithmetic and the
 // dequantization applies one fixed per-element float expression, so results
 // are bitwise identical across thread counts AND across the scalar/AVX2/VNNI
-// dispatch. The bf16 path widens the stored weights back to float32 (exact)
-// and reuses the strip-invariant float GEMM, so it inherits the float
-// kernels' thread-count invariance.
+// dispatch.
 
 /// Depth chunk of the int8 dot-product kernels: one vpdpbusd / maddubs step
 /// consumes 4 activation bytes per output lane, so packed operands pad k up
@@ -127,35 +123,6 @@ struct Int8Pack {
   std::vector<float> offset_dot;  // [n] s_w[j] * sum_k q[k, j]
 };
 
-/// bf16 weight storage: B[k, n] row-major with each float32 rounded to
-/// bfloat16 (round-to-nearest-even). Half the bytes of the float32 operand;
-/// widened back to exact float32 panels inside the GEMM.
-struct Bf16Pack {
-  int64_t k = 0;
-  int64_t n = 0;
-  std::vector<uint16_t> data;  // [k, n] row-major bf16
-};
-
-/// float32 -> bf16 with round-to-nearest-even (the top 16 bits of the float,
-/// rounded). NaN payloads collapse to a canonical quiet NaN.
-inline uint16_t Bf16FromFloat(float x) {
-  uint32_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  if ((bits & 0x7F800000u) == 0x7F800000u && (bits & 0x007FFFFFu) != 0) {
-    return 0x7FC0;  // quiet NaN
-  }
-  bits += 0x7FFFu + ((bits >> 16) & 1u);
-  return static_cast<uint16_t>(bits >> 16);
-}
-
-/// bf16 -> float32 (exact: bf16 is a prefix of the float32 encoding).
-inline float FloatFromBf16(uint16_t h) {
-  const uint32_t bits = static_cast<uint32_t>(h) << 16;
-  float x;
-  std::memcpy(&x, &bits, sizeof(x));
-  return x;
-}
-
 /// True when the int8 GEMM dispatches to a SIMD dot-product kernel (AVX2
 /// maddubs or VNNI vpdpbusd) instead of the portable scalar reference. The
 /// perf_microbench speedup guardrail gates on this.
@@ -174,9 +141,6 @@ void QuantizeWeightsInt8(int64_t k, int64_t n, const float* b, int8_t* q,
 /// offset-correction dot products.
 Int8Pack PackInt8Weights(int64_t k, int64_t n, const int8_t* q,
                          const float* scale);
-
-/// Rounds a float32 weight matrix to bf16 storage.
-Bf16Pack PackBf16Weights(int64_t k, int64_t n, const float* b);
 
 /// Dynamic per-row activation quantization to unsigned 7-bit affine codes:
 /// for each row i of A[m, k], row_min[i] = min(row), row_scale[i] =
@@ -209,13 +173,6 @@ void Int8GemmI32Reference(int64_t m, const Int8Pack& b, const uint8_t* qa,
 void DequantBiasRows(int64_t m, const Int8Pack& b, const int32_t* acc,
                      const float* row_scale, const float* row_min,
                      const float* bias, bool gelu, float* c);
-
-/// C[m, n] += A[m, k] * widen(b): the bf16 storage GEMM. Widens B panels to
-/// exact float32 scratch and runs the same strip kernels as GemmAcc, so the
-/// result equals the float GEMM over the rounded weights bit-for-bit and is
-/// thread-count invariant.
-void Bf16GemmAccSerial(int64_t m, const Bf16Pack& b, const float* a, float* c);
-void Bf16GemmAcc(int64_t m, const Bf16Pack& b, const float* a, float* c);
 
 // ---- Shared scalar/row forward primitives (DESIGN §6f) ---------------------
 //

@@ -92,4 +92,33 @@ std::string EscapeJson(const std::string& s) {
   return out;
 }
 
+std::string JsonNumberOrString(const std::string& raw) {
+  // JSON number grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  size_t i = 0;
+  const auto at = [&raw, &i](char c) { return i < raw.size() && raw[i] == c; };
+  const auto digits = [&raw, &i] {  // consumes [0-9]+
+    const size_t start = i;
+    while (i < raw.size() && raw[i] >= '0' && raw[i] <= '9') ++i;
+    return i > start;
+  };
+  if (at('-')) ++i;
+  bool number = true;
+  if (at('0')) {
+    ++i;
+  } else {
+    number = digits();
+  }
+  if (number && at('.')) {
+    ++i;
+    number = digits();
+  }
+  if (number && (at('e') || at('E'))) {
+    ++i;
+    if (at('+') || at('-')) ++i;
+    number = digits();
+  }
+  if (number && i == raw.size()) return raw;
+  return "\"" + EscapeJson(raw) + "\"";
+}
+
 }  // namespace chainsformer

@@ -35,6 +35,12 @@ bool JsonField(const std::string& line, const std::string& key,
 /// Escapes `"` and `\` so `s` can be embedded in a JSON string literal.
 std::string EscapeJson(const std::string& s);
 
+/// Re-serializes a JsonField value as one JSON token: `raw` unchanged when it
+/// matches the JSON number grammar, otherwise `raw` as an escaped JSON
+/// string. Echoing a client's `id` through this keeps the response valid
+/// JSON whether the client sent 7 or "x".
+std::string JsonNumberOrString(const std::string& raw);
+
 }  // namespace chainsformer
 
 #endif  // CHAINSFORMER_UTIL_STRING_UTIL_H_

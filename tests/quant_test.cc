@@ -1,5 +1,5 @@
-// Tests for DESIGN §6g, the reduced-precision serving mode: int8/bf16 GEMM
-// kernel determinism (bitwise across scalar/SIMD dispatch and thread
+// Tests for DESIGN §6g, the int8 serving mode: precision-name parsing, int8
+// GEMM kernel determinism (bitwise across scalar/SIMD dispatch and thread
 // counts), quantized plan parity with the eager forward within the verify
 // tolerance, the per-bucket fallback when a corrupt scale busts the parity
 // gate (never a wrong answer), the serve-level accuracy-budget gate
@@ -114,6 +114,33 @@ int64_t MaxTokens(const TreeOfChains& chains) {
     max_tokens = std::max<int64_t>(max_tokens, c.length() + 3);
   }
   return max_tokens;
+}
+
+// --- Precision names ---------------------------------------------------------
+
+TEST(QuantPrecisionTest, ParsePrecisionAcceptsOnlyKnownSpellings) {
+  Precision p = Precision::kInt8;
+  ASSERT_TRUE(ParsePrecision("fp64", &p));
+  EXPECT_EQ(p, Precision::kFp64);
+  p = Precision::kInt8;
+  ASSERT_TRUE(ParsePrecision("fp32", &p));
+  EXPECT_EQ(p, Precision::kFp64);
+  ASSERT_TRUE(ParsePrecision("int8", &p));
+  EXPECT_EQ(p, Precision::kInt8);
+  for (const char* bad : {"bf16", "", "FP64"}) {
+    for (const Precision before : {Precision::kFp64, Precision::kInt8}) {
+      p = before;
+      EXPECT_FALSE(ParsePrecision(bad, &p)) << bad;
+      EXPECT_EQ(p, before) << "rejecting \"" << bad << "\" changed *out";
+    }
+  }
+  // Every value round-trips through its canonical name.
+  for (const Precision value : {Precision::kFp64, Precision::kInt8}) {
+    Precision parsed =
+        value == Precision::kFp64 ? Precision::kInt8 : Precision::kFp64;
+    ASSERT_TRUE(ParsePrecision(PrecisionName(value), &parsed));
+    EXPECT_EQ(parsed, value) << PrecisionName(value);
+  }
 }
 
 // --- int8 kernels ------------------------------------------------------------
@@ -295,59 +322,6 @@ TEST(QuantKernelsTest, ConstantActivationRowsReconstructExactly) {
   }
 }
 
-// --- bf16 kernels ------------------------------------------------------------
-
-TEST(QuantKernelsTest, Bf16ConversionRoundsToNearestEven) {
-  // Values exactly representable in bf16 round-trip bit-for-bit.
-  for (const float v : {0.0f, 1.0f, -2.5f, 0.15625f, 128.0f}) {
-    EXPECT_EQ(kernels::FloatFromBf16(kernels::Bf16FromFloat(v)), v);
-  }
-  // NaN payloads collapse to the canonical quiet NaN.
-  EXPECT_EQ(kernels::Bf16FromFloat(std::nanf("0x123")), 0x7FC0);
-  // Round-to-nearest-even: 1 + 2^-9 is exactly halfway between bf16
-  // neighbors 1.0 and 1 + 2^-8; it must round to the even code (1.0).
-  EXPECT_EQ(kernels::FloatFromBf16(kernels::Bf16FromFloat(1.001953125f)),
-            1.0f);
-}
-
-TEST(QuantKernelsTest, Bf16GemmIsThreadInvariantAndTracksFloat) {
-  const int64_t m = 16, k = 96, n = 48;
-  Rng rng(21);
-  std::vector<float> a(static_cast<size_t>(m * k));
-  std::vector<float> b(static_cast<size_t>(k * n));
-  for (auto& x : a) x = static_cast<float>(rng.Normal());
-  for (auto& x : b) x = static_cast<float>(rng.Normal());
-  const kernels::Bf16Pack pack = kernels::PackBf16Weights(k, n, b.data());
-
-  std::vector<float> serial(static_cast<size_t>(m * n), 0.0f);
-  kernels::Bf16GemmAccSerial(m, pack, a.data(), serial.data());
-  const int old_threads = tensor::kernels::KernelThreads();
-  for (const int threads : {1, 4}) {
-    tensor::kernels::SetKernelThreads(threads);
-    std::vector<float> threaded(static_cast<size_t>(m * n), 0.0f);
-    kernels::Bf16GemmAcc(m, pack, a.data(), threaded.data());
-    EXPECT_EQ(std::memcmp(serial.data(), threaded.data(),
-                          serial.size() * sizeof(float)),
-              0)
-        << "bf16 GEMM diverged at " << threads << " threads";
-  }
-  tensor::kernels::SetKernelThreads(old_threads);
-
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      double sum = 0.0;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        sum += static_cast<double>(a[static_cast<size_t>(i * k + kk)]) *
-               static_cast<double>(b[static_cast<size_t>(kk * n + j)]);
-      }
-      // bf16 keeps 8 mantissa bits: ~0.4% per product, random-walk
-      // accumulation over k=96.
-      EXPECT_NEAR(serial[static_cast<size_t>(i * n + j)], sum,
-                  0.02 * std::sqrt(static_cast<double>(k)) + 1e-3);
-    }
-  }
-}
-
 // --- Quantized plans ---------------------------------------------------------
 
 TEST(QuantPlanTest, Int8PlanMatchesEagerWithinTolerance) {
@@ -376,24 +350,6 @@ TEST(QuantPlanTest, Int8PlanMatchesEagerWithinTolerance) {
   tensor::kernels::SetKernelThreads(old_threads);
 }
 
-TEST(QuantPlanTest, Bf16PlanMatchesEagerWithinTolerance) {
-  Trained& t = Shared();
-  const Query q = FirstQueryWithChains(t);
-  const TreeOfChains chains = t.model->RetrieveChains(q);
-
-  const auto plan = std::make_shared<const Plan>(
-      CompilePlan(*t.model, static_cast<int64_t>(chains.size()),
-                  MaxTokens(chains), Precision::kBf16, nullptr));
-  EXPECT_EQ(plan->precision, Precision::kBf16);
-  EXPECT_FALSE(plan->bf16_packs.empty());
-  EXPECT_EQ(plan->quant_rows, 0) << "bf16 plans need no int8 scratch";
-  PlanExecutor executor(plan);
-  const double compiled = std::clamp(
-      static_cast<double>(executor.RunNormalized(chains)), -0.1, 1.1);
-  EXPECT_NEAR(compiled, EagerNormalized(t, q, chains), 0.01);
-  EXPECT_EQ(executor.RunNormalized(chains), executor.RunNormalized(chains));
-}
-
 // The quantized plans keep the fp64 op skeleton (same expected_events), so
 // the runtime's trace cross-check stays precision-agnostic.
 TEST(QuantPlanTest, QuantizedPlansKeepTheEagerOpSkeleton) {
@@ -406,12 +362,9 @@ TEST(QuantPlanTest, QuantizedPlansKeepTheEagerOpSkeleton) {
 
   const Plan fp64 = CompilePlan(*t.model, k, len);
   const Plan int8 = CompilePlan(*t.model, k, len, Precision::kInt8, &store);
-  const Plan bf16 = CompilePlan(*t.model, k, len, Precision::kBf16, nullptr);
   ASSERT_EQ(int8.expected_events.size(), fp64.expected_events.size());
-  ASSERT_EQ(bf16.expected_events.size(), fp64.expected_events.size());
   for (size_t i = 0; i < fp64.expected_events.size(); ++i) {
     EXPECT_EQ(int8.expected_events[i], fp64.expected_events[i]) << "op " << i;
-    EXPECT_EQ(bf16.expected_events[i], fp64.expected_events[i]) << "op " << i;
   }
 }
 

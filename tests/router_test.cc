@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -212,6 +213,17 @@ TEST(RouterTest, AllShardsDownDegradesAnswerShaped) {
   EXPECT_NE(response.find("\"degraded\": true"), std::string::npos) << response;
 }
 
+TEST(RouterTest, MissingEntityEchoesIdAsValidJson) {
+  RouterFixture f(2);
+  // A string id comes back quoted, a numeric one byte-identical.
+  EXPECT_EQ(f.router->HandleLine("{\"id\": \"req-7\", \"attribute\": \"a\"}"),
+            "{\"id\": \"req-7\", \"error\": \"request needs \\\"entity\\\" "
+            "for routing\"}");
+  EXPECT_EQ(f.router->HandleLine("{\"id\": 7, \"attribute\": \"a\"}"),
+            "{\"id\": 7, \"error\": \"request needs \\\"entity\\\" for "
+            "routing\"}");
+}
+
 TEST(RouterTest, BatchFanOutMergesInRequestOrder) {
   RouterFixture f(4);
   std::vector<std::string> lines;
@@ -404,7 +416,9 @@ TEST(AsyncServerTest, ConcurrentConnectionsAllAnswered) {
 }
 
 TEST(AsyncServerTest, ShutdownDrainsInFlightRequests) {
-  AsyncNdjsonServer server(EphemeralOptions(), [](const std::string&) {
+  std::promise<void> started;
+  AsyncNdjsonServer server(EphemeralOptions(), [&started](const std::string&) {
+    started.set_value();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     return std::string("{\"done\": true}");
   });
@@ -412,7 +426,7 @@ TEST(AsyncServerTest, ShutdownDrainsInFlightRequests) {
   Client client(server.port());
   ASSERT_GE(client.fd, 0);
   ASSERT_TRUE(client.Send("{\"id\": 1}"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  started.get_future().wait();  // the request is inside the handler
   server.Shutdown();  // must wait for the parked handler + flush its answer
   std::string response;
   ASSERT_TRUE(client.Recv(&response, 2000))

@@ -86,7 +86,6 @@ TEST(ServeCheckpointTest, RoundTripPredictsBitwiseIdentical) {
   Trained& t = Shared();
   const std::string path = "/tmp/cf_serve_roundtrip.cfsm";
   ASSERT_TRUE(SaveModel(*t.model, path));
-  ASSERT_TRUE(IsModelCheckpoint(path));
 
   // Load with a *default* base config: everything that matters must come
   // from the checkpoint itself, as it would in a fresh serving process.
@@ -118,9 +117,13 @@ TEST(ServeCheckpointTest, LoadRejectsMissingAndForeignFiles) {
     std::fputs("not a checkpoint", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(IsModelCheckpoint(path));
   EXPECT_EQ(LoadModel(t.dataset, base, path), nullptr);
   std::remove(path.c_str());
+  // A bare tensor section (the parameter-only "CFTN" format) is foreign too.
+  const std::string cftn = "/tmp/cf_serve_foreign.cftn";
+  ASSERT_TRUE(t.model->SaveCheckpoint(cftn));
+  EXPECT_EQ(LoadModel(t.dataset, base, cftn), nullptr);
+  std::remove(cftn.c_str());
 }
 
 TEST(ServeCheckpointDeathTest, VocabMismatchAbortsNamed) {

@@ -57,6 +57,31 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_FALSE(StartsWith("chain", "chain_former"));
 }
 
+// Responses echo a client's id through JsonField + JsonNumberOrString; the
+// line must stay valid JSON whatever the client sent.
+TEST(StringUtilTest, JsonNumberOrStringKeepsNumbers) {
+  for (const char* n : {"0", "7", "-12", "3.25", "1e9", "-0.5E-3", "6.02e+23"}) {
+    EXPECT_EQ(JsonNumberOrString(n), n);
+  }
+}
+
+TEST(StringUtilTest, JsonNumberOrStringQuotesStrings) {
+  std::string raw;
+  ASSERT_TRUE(JsonField("{\"id\": \"x\", \"entity\": \"e\"}", "id", &raw));
+  EXPECT_EQ(JsonNumberOrString(raw), "\"x\"");
+  EXPECT_EQ(JsonNumberOrString("req-42"), "\"req-42\"");
+  EXPECT_EQ(JsonNumberOrString("a\"b\\c"), "\"a\\\"b\\\\c\"");
+}
+
+TEST(StringUtilTest, JsonNumberOrStringQuotesGarbage) {
+  // Outside the JSON number grammar: leading zeros, bare signs and dots,
+  // dangling exponents, trailing junk, hex and the non-finite spellings.
+  for (const char* g : {"01", "-", "+1", ".5", "1.", "1e", "1e+", "12abc",
+                        "0x1F", "NaN", "Infinity", "1 2"}) {
+    EXPECT_EQ(JsonNumberOrString(g), "\"" + std::string(g) + "\"") << g;
+  }
+}
+
 TEST(StopwatchTest, ElapsedMonotone) {
   Stopwatch sw;
   const double a = sw.ElapsedSeconds();

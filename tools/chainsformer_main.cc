@@ -188,10 +188,9 @@ int RunTrain(const FlagParser& flags) {
   return 0;
 }
 
-/// Builds a ready-to-predict model: from a --checkpoint when given (CFSM
-/// self-describing checkpoints carry their own config; legacy CFTN tensor
-/// dumps rely on the architecture flags matching training), otherwise by
-/// training from scratch. Returns nullptr on load failure.
+/// Builds a ready-to-predict model: from a --checkpoint when given (a CFSM
+/// checkpoint carries its own config), otherwise by training from scratch.
+/// Returns nullptr on load failure.
 std::unique_ptr<core::ChainsFormerModel> LoadOrTrain(const FlagParser& flags,
                                                      const kg::Dataset& ds) {
   const std::string checkpoint = flags.GetString("checkpoint");
@@ -202,16 +201,7 @@ std::unique_ptr<core::ChainsFormerModel> LoadOrTrain(const FlagParser& flags,
     model->Train();
     return model;
   }
-  if (serve::IsModelCheckpoint(checkpoint)) {
-    return serve::LoadModel(ds, ConfigFromFlags(flags), checkpoint);
-  }
-  auto model =
-      std::make_unique<core::ChainsFormerModel>(ds, ConfigFromFlags(flags));
-  if (!model->LoadCheckpoint(checkpoint)) {
-    std::fprintf(stderr, "failed to load checkpoint %s\n", checkpoint.c_str());
-    return nullptr;
-  }
-  return model;
+  return serve::LoadModel(ds, ConfigFromFlags(flags), checkpoint);
 }
 
 int RunEval(const FlagParser& flags) {

@@ -79,15 +79,14 @@ int Usage() {
       "                       identical to eager (default true; =false for\n"
       "                       the eager tape; plan.* counters in --stats)\n"
       "  --precision=M        static-graph Linear precision: fp64 (default;\n"
-      "                       fp32 accepted as alias), bf16, or int8 (needs\n"
-      "                       a checkpoint saved with --quantize)\n"
+      "                       fp32 accepted as alias) or int8 (needs a\n"
+      "                       checkpoint saved with --quantize)\n"
       "  --quant-error-budget=X  max recorded int8 calibration error\n"
       "                       (normalized MAE vs fp64) the server accepts;\n"
       "                       over budget falls back to fp64 and increments\n"
       "                       serve.quant_rejected (default 0.05)\n"
-      "  --verify-tolerance=X first-use parity tolerance for quantized\n"
-      "                       buckets; negative = per-precision default\n"
-      "                       (int8 0.05, bf16 0.01)\n"
+      "  --verify-tolerance=X first-use parity tolerance of int8 buckets\n"
+      "                       (normalized, >= 0; default 0.05)\n"
       "  --port=N             serve NDJSON over TCP instead of stdin\n"
       "  --shards=N           entity-sharded mode: total shard count\n"
       "  --shard-index=I      ... and this process's slice [0, N)\n"
@@ -96,7 +95,7 @@ int Usage() {
       "  --forward-timeout-ms=N  router per-shard attempt budget (default 250)\n"
       "  --health-period-ms=N router shard-probe cadence; 0 off (default 250)\n"
       "  --kernel-threads=N   dense kernel workers (default 1)\n"
-      "  --seed=N             must match training when the checkpoint is legacy\n"
+      "  --seed=N             train/valid/test split seed (default 42)\n"
       "  observability: --metrics-json=PATH --trace-json=PATH --stats\n"
       "                 --check-mode=off|shapes|full\n"
       "  --admin-port=N       HTTP admin endpoint on 127.0.0.1 (GET /statusz\n"
@@ -215,7 +214,7 @@ std::string HandleLine(const ServeContext& ctx, const std::string& line) {
   const bool has_id = JsonField(line, "id", &id);
   auto error = [&](const std::string& message) {
     std::string r = "{";
-    if (has_id) r += "\"id\": " + id + ", ";
+    if (has_id) r += "\"id\": " + JsonNumberOrString(id) + ", ";
     return r + "\"error\": \"" + EscapeJson(message) + "\"}";
   };
   if (!JsonField(line, "entity", &entity_name) ||
@@ -260,7 +259,7 @@ std::string HandleLine(const ServeContext& ctx, const std::string& line) {
                 resp.dedup_collapsed ? "true" : "false",
                 resp.cache_hit ? "true" : "false");
   std::string r = "{";
-  if (has_id) r += "\"id\": " + id + ", ";
+  if (has_id) r += "\"id\": " + JsonNumberOrString(id) + ", ";
   if (ctx.ring != nullptr) {
     r += "\"shard\": " + std::to_string(ctx.shard_index) + ", ";
   }
@@ -461,6 +460,20 @@ int Main(int argc, char** argv) {
   const std::string numeric = flags.GetString("numeric");
   if (checkpoint.empty() || triples.empty() || numeric.empty()) return Usage();
 
+  serve::ServeOptions options;
+  const std::string precision_flag = flags.GetString("precision", "fp64");
+  if (!graph::ParsePrecision(precision_flag, &options.precision)) {
+    std::fprintf(stderr, "unknown --precision=%s (fp64|fp32|int8)\n",
+                 precision_flag.c_str());
+    return Usage();
+  }
+  options.verify_tolerance =
+      flags.GetDouble("verify-tolerance", options.verify_tolerance);
+  if (!(options.verify_tolerance >= 0.0)) {  // also rejects nan
+    std::fprintf(stderr, "--verify-tolerance must be >= 0\n");
+    return Usage();
+  }
+
   const std::string metrics_json = flags.GetString("metrics-json");
   const std::string trace_json = flags.GetString("trace-json");
   const bool print_stats = flags.GetBool("stats", false);
@@ -476,25 +489,14 @@ int Main(int argc, char** argv) {
   const kg::Dataset dataset =
       kg::LoadTsvDataset("serve", triples, numeric, base_config.seed);
 
-  std::unique_ptr<core::ChainsFormerModel> model;
   auto quant = std::make_shared<graph::QuantStore>();
-  if (serve::IsModelCheckpoint(checkpoint)) {
-    model = serve::LoadModel(dataset, base_config, checkpoint, quant.get());
-  } else {
-    // Legacy raw-tensor checkpoint: shapes/seed must come from the flags.
-    std::fprintf(stderr,
-                 "%s is a legacy CFTN checkpoint; relying on --seed and "
-                 "default architecture flags matching training\n",
-                 checkpoint.c_str());
-    model = std::make_unique<core::ChainsFormerModel>(dataset, base_config);
-    if (!model->LoadCheckpoint(checkpoint)) model.reset();
-  }
+  const std::unique_ptr<core::ChainsFormerModel> model =
+      serve::LoadModel(dataset, base_config, checkpoint, quant.get());
   if (!model) {
     std::fprintf(stderr, "failed to load %s\n", checkpoint.c_str());
     return 1;
   }
 
-  serve::ServeOptions options;
   options.batch_window_us = flags.GetInt("batch-window-us", 200);
   options.max_batch = static_cast<int>(flags.GetInt("max-batch", 32));
   options.deadline_ms = flags.GetInt("deadline-ms", 50);
@@ -503,16 +505,8 @@ int Main(int argc, char** argv) {
   options.compute_threads =
       static_cast<int>(flags.GetInt("compute-threads", 0));
   options.use_static_graph = flags.GetBool("static-graph", true);
-  const std::string precision_flag = flags.GetString("precision", "fp64");
-  if (!graph::ParsePrecision(precision_flag, &options.precision)) {
-    std::fprintf(stderr, "unknown --precision=%s (fp64|fp32|bf16|int8)\n",
-                 precision_flag.c_str());
-    return Usage();
-  }
   options.quant_error_budget =
       flags.GetDouble("quant-error-budget", options.quant_error_budget);
-  options.verify_tolerance =
-      flags.GetDouble("verify-tolerance", options.verify_tolerance);
   if (!quant->linears.empty()) options.quant = quant;
   serve::InferenceService service(*model, options);
   if (service.static_runtime() != nullptr) {

@@ -8,8 +8,8 @@
 #   - label `sanitizer`     — tape sanitizer behavior + death tests
 #   - label `observability` — windowed telemetry, request tracing, and the
 #                             admin endpoint (HTTP scrape round-trips)
-#   - label `quantized`     — int8/bf16 kernels, quantized plan compilation,
-#                             and the checkpoint quant block (DESIGN §6g)
+#   - label `quantized`     — int8 kernels, int8 plan compilation, and the
+#                             checkpoint quant block (DESIGN §6g)
 #   - label `retrieval`     — the random-walk loop (path array, flat
 #                             dedup table) and its golden Tree-of-Chains test
 #   - label `lint`          — cf_lint source/docs/suppression checks and the
