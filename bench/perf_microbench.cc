@@ -26,7 +26,6 @@
 #include "util/metrics.h"
 #include "util/stopwatch.h"
 #include "util/sync.h"
-#include "util/telemetry.h"
 #include "util/trace.h"
 
 using namespace chainsformer;
@@ -245,8 +244,8 @@ void BM_MetricsHistogramObserve(benchmark::State& state) {
 BENCHMARK(BM_MetricsHistogramObserve);
 
 void BM_WindowedHistogramObserve(benchmark::State& state) {
-  auto* hist =
-      telemetry::TelemetryRegistry::Global().GetHistogram("bench.windowed");
+  auto* hist = metrics::MetricsRegistry::Global().GetHistogram(
+      "bench.windowed", metrics::Window::kSliding);
   double v = 1.0;
   for (auto _ : state) {
     hist->Observe(v);
@@ -499,15 +498,17 @@ void VerifyCompiledDispatchOverhead() {
       << "warmed static-graph dispatch is slower than the eager interpreter";
 }
 
-// Guardrail for the request-tracing/telemetry layer (ISSUE: steady-state
-// overhead <= 1%): one served request costs at most ~7 windowed histogram
-// observes and ~2 windowed counter increments (all fed an already-held
-// timestamp via the AtMs seam — the finish() path reads the clock once for
-// all nine), ~6 EmitSpan calls (no-ops while tracing is disabled, the steady
-// state), and ~10 steady-clock reads for the phase boundaries. Prices each
-// primitive at its median, sums the per-request bill, and aborts if it
-// exceeds 1% of a warmed compiled dispatch — the cheapest compute a request
-// can do, so the bound is conservative for real traffic.
+// Guardrail for the request-tracing/metrics layer (steady-state overhead
+// <= 1%): one served request costs at most 7 observes into windowed
+// histograms (serve.phase.*, each cumulative + window) and 3 increments of
+// windowed counters (serve.requests, and serve.degraded plus its cause when
+// degraded), all fed an already-held timestamp via the AtMs seam — the
+// finish() path reads the clock once for all of them — plus ~6 EmitSpan
+// calls (no-ops while tracing is disabled, the steady state) and ~10
+// steady-clock reads for the phase boundaries. Prices each primitive at its
+// median, sums the per-request bill, and aborts if it exceeds 1% of a warmed
+// compiled dispatch — the cheapest compute a request can do, so the bound is
+// conservative for real traffic.
 void VerifyServeTelemetryOverhead() {
   constexpr double kMaxOverheadFraction = 0.01;
   constexpr int kTrials = 7;
@@ -523,11 +524,11 @@ void VerifyServeTelemetryOverhead() {
     return trials[kTrials / 2];
   };
 
-  auto* hist =
-      telemetry::TelemetryRegistry::Global().GetHistogram("bench.overhead.h");
-  auto* counter =
-      telemetry::TelemetryRegistry::Global().GetCounter("bench.overhead.c");
-  const int64_t now_ms = telemetry::WindowedHistogram::NowMs();
+  auto* hist = metrics::MetricsRegistry::Global().GetHistogram(
+      "bench.overhead.h", metrics::Window::kSliding);
+  auto* counter = metrics::MetricsRegistry::Global().GetCounter(
+      "bench.overhead.c", metrics::Window::kSliding);
+  const int64_t now_ms = metrics::TimeWheel::NowMs();
   const double observe_ns = median_ns(
       [&](int i) { hist->ObserveAtMs(static_cast<double>(i & 1023), now_ms); });
   const double increment_ns =
@@ -539,7 +540,7 @@ void VerifyServeTelemetryOverhead() {
   const double clock_ns =
       median_ns([&](int) { benchmark::DoNotOptimize(trace::NowNs()); });
 
-  const double per_request_ns = 7.0 * observe_ns + 2.0 * increment_ns +
+  const double per_request_ns = 7.0 * observe_ns + 3.0 * increment_ns +
                                 6.0 * span_ns + 10.0 * clock_ns;
 
   // Price the cheapest possible request: a warmed compiled dispatch.

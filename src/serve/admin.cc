@@ -15,7 +15,6 @@
 #include "util/metric_names.h"
 #include "util/metrics.h"
 #include "util/net.h"
-#include "util/telemetry.h"
 
 namespace chainsformer {
 namespace serve {
@@ -42,29 +41,28 @@ double Rate(int64_t part, int64_t whole) {
                    : 0.0;
 }
 
-/// Window-scoped SLO facts derived from the telemetry counters.
+/// Window-scoped SLO facts derived from the windowed serve counters. A
+/// deadline miss is a deadline-degraded answer, so its rate and the
+/// deadline cause's rate are one figure.
 struct SloView {
   int64_t requests = 0;
-  double deadline_miss_rate = 0.0;
   double degraded_rate = 0.0;
   double degraded_deadline_rate = 0.0;
   double degraded_empty_toc_rate = 0.0;
   double degraded_shutdown_rate = 0.0;
 };
 
-SloView ComputeSlo(const telemetry::TelemetrySnapshot& window) {
+SloView ComputeSlo(const metrics::MetricsSnapshot::WindowView& window) {
   SloView slo;
-  slo.requests = window.CounterSum(metrics::names::kSloRequests);
-  slo.deadline_miss_rate =
-      Rate(window.CounterSum(metrics::names::kSloDeadlineMiss), slo.requests);
+  slo.requests = window.CounterSum(metrics::names::kServeRequests);
   slo.degraded_rate =
-      Rate(window.CounterSum(metrics::names::kSloDegraded), slo.requests);
+      Rate(window.CounterSum(metrics::names::kServeDegraded), slo.requests);
   slo.degraded_deadline_rate = Rate(
-      window.CounterSum(metrics::names::kSloDegradedDeadline), slo.requests);
+      window.CounterSum(metrics::names::kServeDegradedDeadline), slo.requests);
   slo.degraded_empty_toc_rate = Rate(
-      window.CounterSum(metrics::names::kSloDegradedEmptyToc), slo.requests);
+      window.CounterSum(metrics::names::kServeDegradedEmptyToc), slo.requests);
   slo.degraded_shutdown_rate = Rate(
-      window.CounterSum(metrics::names::kSloDegradedShutdown), slo.requests);
+      window.CounterSum(metrics::names::kServeDegradedShutdown), slo.requests);
   return slo;
 }
 
@@ -73,8 +71,7 @@ SloView ComputeSlo(const telemetry::TelemetrySnapshot& window) {
 std::string StatusJson(const InferenceService* service) {
   const metrics::MetricsSnapshot cumulative =
       metrics::MetricsRegistry::Global().Snapshot();
-  const telemetry::TelemetrySnapshot window =
-      telemetry::TelemetryRegistry::Global().Snapshot();
+  const metrics::MetricsSnapshot::WindowView& window = cumulative.window;
   const SloView slo = ComputeSlo(window);
 
   std::ostringstream os;
@@ -91,7 +88,7 @@ std::string StatusJson(const InferenceService* service) {
     first = false;
   }
 
-  os << "}, \"window\": {\"seconds\": " << Num(window.window_seconds)
+  os << "}, \"window\": {\"seconds\": " << Num(window.seconds)
      << ", \"percentiles\": {";
   first = true;
   for (const auto& [name, p] : window.histograms) {
@@ -111,7 +108,7 @@ std::string StatusJson(const InferenceService* service) {
   const int64_t verify_failures =
       cumulative.CounterValue(metrics::names::kPlanVerifyFailures);
   os << ", \"slo\": {\"window_requests\": " << slo.requests
-     << ", \"deadline_miss_rate\": " << Num(slo.deadline_miss_rate)
+     << ", \"deadline_miss_rate\": " << Num(slo.degraded_deadline_rate)
      << ", \"degraded_rate\": " << Num(slo.degraded_rate)
      << ", \"degraded_by_cause\": {\"deadline\": "
      << Num(slo.degraded_deadline_rate)
@@ -162,8 +159,7 @@ std::string StatusJson(const InferenceService* service) {
 std::string PrometheusText(const InferenceService* service) {
   const metrics::MetricsSnapshot cumulative =
       metrics::MetricsRegistry::Global().Snapshot();
-  const telemetry::TelemetrySnapshot window =
-      telemetry::TelemetryRegistry::Global().Snapshot();
+  const metrics::MetricsSnapshot::WindowView& window = cumulative.window;
   const SloView slo = ComputeSlo(window);
 
   std::ostringstream os;
@@ -212,7 +208,7 @@ std::string PrometheusText(const InferenceService* service) {
   os << "# TYPE cf_slo_window_requests gauge\ncf_slo_window_requests "
      << slo.requests << "\n";
   os << "# TYPE cf_slo_deadline_miss_rate gauge\ncf_slo_deadline_miss_rate "
-     << Num(slo.deadline_miss_rate) << "\n";
+     << Num(slo.degraded_deadline_rate) << "\n";
   os << "# TYPE cf_slo_degraded_rate gauge\ncf_slo_degraded_rate "
      << Num(slo.degraded_rate) << "\n";
   os << "# TYPE cf_slo_degraded_cause_rate gauge\n";
@@ -285,6 +281,13 @@ void AdminServer::ServeLoop() {
     const int fd = net::AcceptConn(listener);
     if (fd < 0) return;  // listener closed by destructor (or fatal error)
 
+    // Scrape clients send their request right after connecting; one that
+    // stays silent must not hold up every later scrape, or the destructor
+    // joining this thread.
+    if (!net::WaitReadable(fd, kRequestTimeoutMs)) {
+      net::CloseFd(fd);
+      continue;
+    }
     // Read just the request line; scrape clients send tiny requests.
     char req[1024];
     const ssize_t n = net::ReadSome(fd, req, sizeof(req) - 1);

@@ -31,10 +31,16 @@ std::string PrometheusText(const InferenceService* service);
 /// Routes: GET /statusz (JSON), GET /metrics (Prometheus text), GET
 /// /healthz ("ok"). One short-lived connection at a time on a dedicated
 /// thread — scrape traffic, not serving traffic — so it never competes with
-/// the dispatcher. Binds 127.0.0.1; pass port 0 to bind an ephemeral port
-/// (read it back with port(), used by tests).
+/// the dispatcher. A connection that sends no request within
+/// kRequestTimeoutMs is closed unanswered, so an idle client can delay the
+/// next scrape and the destructor by at most that long. Binds 127.0.0.1;
+/// pass port 0 to bind an ephemeral port (read it back with port(), used by
+/// tests).
 class AdminServer {
  public:
+  /// How long a connection may take to send its request line.
+  static constexpr int kRequestTimeoutMs = 500;
+
   AdminServer(int port, const InferenceService* service);
   ~AdminServer();
 

@@ -9,7 +9,6 @@
 #include "util/net.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
-#include "util/telemetry.h"
 
 namespace chainsformer {
 namespace serve {
@@ -225,13 +224,11 @@ std::string Router::DegradedResponse(const std::string& line) const {
 std::string Router::HandleLine(const std::string& line) {
   static auto* requests = metrics::MetricsRegistry::Global().GetCounter(
       metrics::names::kRouterRequests);
+  // Windowed: together they are the SLO block's window_shard_down.
   static auto* rerouted_counter = metrics::MetricsRegistry::Global().GetCounter(
-      metrics::names::kRouterRerouted);
+      metrics::names::kRouterRerouted, metrics::Window::kSliding);
   static auto* degraded_counter = metrics::MetricsRegistry::Global().GetCounter(
-      metrics::names::kRouterDegraded);
-  static auto* slo_shard_down =
-      telemetry::TelemetryRegistry::Global().GetCounter(
-          metrics::names::kSloShardDown);
+      metrics::names::kRouterDegraded, metrics::Window::kSliding);
   requests->Increment();
 
   std::string cmd;
@@ -273,7 +270,6 @@ std::string Router::HandleLine(const std::string& line) {
         // Not answered by the warm owner: correct (every shard holds the
         // full model) but cache-cold. Tag it and count the SLO miss.
         rerouted_counter->Increment();
-        slo_shard_down->Increment();
         const size_t brace = response.rfind('}');
         if (brace != std::string::npos) {
           response.insert(brace, ", \"rerouted\": true");
@@ -283,7 +279,6 @@ std::string Router::HandleLine(const std::string& line) {
     }
   }
   degraded_counter->Increment();
-  slo_shard_down->Increment();
   return DegradedResponse(line);
 }
 
@@ -347,8 +342,6 @@ void Router::HealthLoop() {
 std::string Router::StatusJson() const {
   const metrics::MetricsSnapshot snap =
       metrics::MetricsRegistry::Global().Snapshot();
-  const telemetry::TelemetrySnapshot window =
-      telemetry::TelemetryRegistry::Global().Snapshot();
   std::ostringstream os;
   os << "{\"role\": \"router\", \"ring\": {\"shards\": " << shards_.size()
      << ", \"vnodes\": " << ring_.vnodes() << "}, \"shards\": [";
@@ -374,7 +367,9 @@ std::string Router::StatusJson() const {
     first = false;
   }
   os << "}, \"slo\": {\"window_shard_down\": "
-     << window.CounterSum(metrics::names::kSloShardDown) << "}}";
+     << snap.window.CounterSum(metrics::names::kRouterRerouted) +
+            snap.window.CounterSum(metrics::names::kRouterDegraded)
+     << "}}";
   return os.str();
 }
 

@@ -148,8 +148,9 @@ struct RouterOptions {
 /// per-phase telemetry and all. When the owner is down or times out, the
 /// request reroutes along the ring order (every shard holds the full model;
 /// sharding partitions the *cache working set*, not correctness), the
-/// response gains `"rerouted": true`, and the miss is counted under the SLO
-/// tracker (slo.shard_down window counter). Only when every shard fails
+/// response gains `"rerouted": true`, and the miss is counted in the
+/// windowed router.rerouted (the SLO block's window_shard_down adds
+/// router.degraded). Only when every shard fails
 /// does the router degrade the request itself: `"source": "shard_down"`,
 /// value 0 — answer-shaped, never a hang, matching the deadline-degradation
 /// contract.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <unordered_map>
 #include <utility>
 
@@ -12,7 +11,6 @@
 #include "util/metric_names.h"
 #include "util/metrics.h"
 #include "util/rng.h"
-#include "util/telemetry.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -22,22 +20,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-metrics::Counter* RequestsCounter() {
-  static auto* c = metrics::MetricsRegistry::Global().GetCounter(metrics::names::kServeRequests);
-  return c;
-}
-metrics::Counter* DegradedCounter() {
-  static auto* c = metrics::MetricsRegistry::Global().GetCounter(metrics::names::kServeDegraded);
-  return c;
-}
 metrics::Histogram* BatchSizeHist() {
   static auto* h =
       metrics::MetricsRegistry::Global().GetHistogram(metrics::names::kServeBatchSize);
-  return h;
-}
-metrics::Histogram* LatencyHist() {
-  static auto* h =
-      metrics::MetricsRegistry::Global().GetHistogram(metrics::names::kServeLatencyUs);
   return h;
 }
 metrics::Counter* DedupCounter() {
@@ -50,62 +35,42 @@ metrics::Counter* ImmediateDispatchCounter() {
       metrics::MetricsRegistry::Global().GetCounter(metrics::names::kServeImmediateDispatch);
   return c;
 }
-metrics::Counter* DegradedCauseCounter(const char* source) {
-  static auto* deadline = metrics::MetricsRegistry::Global().GetCounter(
-      metrics::names::kServeDegradedDeadline);
-  static auto* empty_toc = metrics::MetricsRegistry::Global().GetCounter(
-      metrics::names::kServeDegradedEmptyToc);
-  static auto* shutdown = metrics::MetricsRegistry::Global().GetCounter(
-      metrics::names::kServeDegradedShutdown);
-  if (std::strcmp(source, "deadline") == 0) return deadline;
-  if (std::strcmp(source, "empty_toc") == 0) return empty_toc;
-  return shutdown;
-}
 
-/// Live sliding-window telemetry: per-phase latency percentiles and SLO
-/// event counters the admin endpoint serves (util/telemetry.h). One struct
-/// of cached pointers so the hot path pays a handful of relaxed atomic
-/// increments, no registry lookups.
-struct ServeTelemetry {
-  telemetry::WindowedHistogram* total_us;
-  telemetry::WindowedHistogram* cache_us;
-  telemetry::WindowedHistogram* queue_us;
-  telemetry::WindowedHistogram* window_us;
-  telemetry::WindowedHistogram* compute_us;
-  telemetry::WindowedHistogram* verify_us;
-  telemetry::WindowedHistogram* serialize_us;  // observed by the CLI layer
-  telemetry::WindowedCounter* requests;
-  telemetry::WindowedCounter* deadline_miss;
-  telemetry::WindowedCounter* degraded;
-  telemetry::WindowedCounter* degraded_deadline;
-  telemetry::WindowedCounter* degraded_empty_toc;
-  telemetry::WindowedCounter* degraded_shutdown;
+/// The series every answer updates, looked up once so the hot path does no
+/// registry lookups. Each carries a sliding window: /statusz reports the
+/// last minute of the same series /metrics reports since start.
+struct RequestMetrics {
+  metrics::Counter* requests;
+  metrics::Counter* degraded;
+  metrics::Counter* degraded_deadline;
+  metrics::Counter* degraded_empty_toc;
+  metrics::Counter* degraded_shutdown;
+  metrics::Histogram* total_us;
+  metrics::Histogram* cache_us;
+  metrics::Histogram* queue_us;
+  metrics::Histogram* window_us;
+  metrics::Histogram* compute_us;
+  metrics::Histogram* verify_us;
 };
 
-ServeTelemetry& Telemetry() {
-  static ServeTelemetry* t = [] {
-    auto& reg = telemetry::TelemetryRegistry::Global();
-    auto* out = new ServeTelemetry();
-    out->total_us = reg.GetHistogram(metrics::names::kServePhaseTotalUs);
-    out->cache_us = reg.GetHistogram(metrics::names::kServePhaseCacheUs);
-    out->queue_us = reg.GetHistogram(metrics::names::kServePhaseQueueUs);
-    out->window_us = reg.GetHistogram(metrics::names::kServePhaseWindowUs);
-    out->compute_us = reg.GetHistogram(metrics::names::kServePhaseComputeUs);
-    out->verify_us = reg.GetHistogram(metrics::names::kServePhaseVerifyUs);
-    out->serialize_us =
-        reg.GetHistogram(metrics::names::kServePhaseSerializeUs);
-    out->requests = reg.GetCounter(metrics::names::kSloRequests);
-    out->deadline_miss = reg.GetCounter(metrics::names::kSloDeadlineMiss);
-    out->degraded = reg.GetCounter(metrics::names::kSloDegraded);
-    out->degraded_deadline =
-        reg.GetCounter(metrics::names::kSloDegradedDeadline);
-    out->degraded_empty_toc =
-        reg.GetCounter(metrics::names::kSloDegradedEmptyToc);
-    out->degraded_shutdown =
-        reg.GetCounter(metrics::names::kSloDegradedShutdown);
-    return out;
+const RequestMetrics& Request() {
+  static const RequestMetrics* m = [] {
+    auto& reg = metrics::MetricsRegistry::Global();
+    constexpr metrics::Window kSliding = metrics::Window::kSliding;
+    return new RequestMetrics{
+        reg.GetCounter(metrics::names::kServeRequests, kSliding),
+        reg.GetCounter(metrics::names::kServeDegraded, kSliding),
+        reg.GetCounter(metrics::names::kServeDegradedDeadline, kSliding),
+        reg.GetCounter(metrics::names::kServeDegradedEmptyToc, kSliding),
+        reg.GetCounter(metrics::names::kServeDegradedShutdown, kSliding),
+        reg.GetHistogram(metrics::names::kServePhaseTotalUs, kSliding),
+        reg.GetHistogram(metrics::names::kServePhaseCacheUs, kSliding),
+        reg.GetHistogram(metrics::names::kServePhaseQueueUs, kSliding),
+        reg.GetHistogram(metrics::names::kServePhaseWindowUs, kSliding),
+        reg.GetHistogram(metrics::names::kServePhaseComputeUs, kSliding),
+        reg.GetHistogram(metrics::names::kServePhaseVerifyUs, kSliding)};
   }();
-  return *t;
+  return *m;
 }
 
 /// SplitMix64 finalizer: bijective on 64-bit values, so distinct sequence
@@ -211,7 +176,6 @@ ServeResponse InferenceService::Predict(const core::Query& query,
   const bool has_deadline = options_.deadline_ms > 0;
   const Clock::time_point deadline =
       start + std::chrono::milliseconds(has_deadline ? options_.deadline_ms : 0);
-  RequestsCounter()->Increment();
   if (trace_id == 0) {
     // Salt ^ sequence through a bijective mixer: deterministic per process
     // (RNG seam), unique per request. MixTraceId never maps two inputs to
@@ -229,35 +193,28 @@ ServeResponse InferenceService::Predict(const core::Query& query,
     r.trace_id = trace_id;
     const uint64_t end_ns = trace::NowNs();
     r.latency_us = static_cast<int64_t>((end_ns - start_ns) / 1000);
-    LatencyHist()->Observe(static_cast<double>(r.latency_us));
-    // Windowed metrics reuse the end-of-request timestamp (telemetry::NowMs
-    // shares the tracer clock) so the nine updates below cost one clock read
+    // The windows reuse the end-of-request timestamp (TimeWheel::NowMs
+    // shares the tracer clock), so the updates below cost one clock read
     // total, not one each — the guardrail in perf_microbench depends on it.
     const int64_t now_ms = static_cast<int64_t>(end_ns / 1'000'000);
-    ServeTelemetry& live = Telemetry();
-    live.requests->IncrementAtMs(1, now_ms);
-    live.total_us->ObserveAtMs(static_cast<double>(r.latency_us), now_ms);
-    live.cache_us->ObserveAtMs(static_cast<double>(r.cache_us), now_ms);
+    const RequestMetrics& m = Request();
+    m.requests->IncrementAtMs(1, now_ms);
+    m.total_us->ObserveAtMs(static_cast<double>(r.latency_us), now_ms);
+    m.cache_us->ObserveAtMs(static_cast<double>(r.cache_us), now_ms);
     if (r.batch_id >= 0) {
-      live.queue_us->ObserveAtMs(static_cast<double>(r.queue_us), now_ms);
-      live.window_us->ObserveAtMs(static_cast<double>(r.window_us), now_ms);
-      live.compute_us->ObserveAtMs(static_cast<double>(r.compute_us), now_ms);
+      m.queue_us->ObserveAtMs(static_cast<double>(r.queue_us), now_ms);
+      m.window_us->ObserveAtMs(static_cast<double>(r.window_us), now_ms);
+      m.compute_us->ObserveAtMs(static_cast<double>(r.compute_us), now_ms);
       if (r.verify_us > 0) {
-        live.verify_us->ObserveAtMs(static_cast<double>(r.verify_us), now_ms);
+        m.verify_us->ObserveAtMs(static_cast<double>(r.verify_us), now_ms);
       }
     }
     if (r.degraded) {
-      DegradedCounter()->Increment();
-      DegradedCauseCounter(r.source.c_str())->Increment();
-      live.degraded->IncrementAtMs(1, now_ms);
-      if (r.source == "deadline") {
-        live.deadline_miss->IncrementAtMs(1, now_ms);
-        live.degraded_deadline->IncrementAtMs(1, now_ms);
-      } else if (r.source == "empty_toc") {
-        live.degraded_empty_toc->IncrementAtMs(1, now_ms);
-      } else {
-        live.degraded_shutdown->IncrementAtMs(1, now_ms);
-      }
+      m.degraded->IncrementAtMs(1, now_ms);
+      metrics::Counter* cause = r.source == "deadline"    ? m.degraded_deadline
+                                : r.source == "empty_toc" ? m.degraded_empty_toc
+                                                          : m.degraded_shutdown;
+      cause->IncrementAtMs(1, now_ms);
     }
     if (trace::Enabled()) {
       trace::SpanAnnotations ann;

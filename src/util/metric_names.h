@@ -11,8 +11,8 @@ namespace names {
 /// repeating dotted string literals at the call site — a typo in a literal
 /// silently creates a brand-new (and forever-empty) series, which no test
 /// can catch. The cf_lint rule `metric-name-literal` rejects string-literal
-/// arguments to MetricsRegistry::Get{Counter,Gauge,Histogram} and
-/// TelemetryRegistry::Get{Counter,Histogram} anywhere under src/.
+/// arguments to MetricsRegistry::Get{Counter,Gauge,Histogram} anywhere under
+/// src/, windowed registrations included.
 ///
 /// Grouping mirrors the subsystem prefixes (`pipeline.`, `serve.`, ...).
 /// Keep the list sorted within each group when adding names.
@@ -111,13 +111,12 @@ inline constexpr char kServeDegradedDeadline[] = "serve.degraded.deadline";
 inline constexpr char kServeDegradedEmptyToc[] = "serve.degraded.empty_toc";
 inline constexpr char kServeDegradedShutdown[] = "serve.degraded.shutdown";
 inline constexpr char kServeImmediateDispatch[] = "serve.immediate_dispatch";
-inline constexpr char kServeLatencyUs[] = "serve.latency_us";
 inline constexpr char kServeMisrouted[] = "serve.misrouted";
 inline constexpr char kServeQuantRejected[] = "serve.quant_rejected";
 inline constexpr char kServeRequests[] = "serve.requests";
 
-// --- per-request phase latencies (sliding-window percentiles; the admin
-// --- endpoint reports live p50/p90/p99 for each of these) ------------------
+// --- per-request phase latencies (windowed histograms: /metrics reports
+// --- them since start, /statusz their live p50/p90/p99) -------------------
 inline constexpr char kServePhaseCacheUs[] = "serve.phase.cache_us";
 inline constexpr char kServePhaseComputeUs[] = "serve.phase.compute_us";
 inline constexpr char kServePhaseQueueUs[] = "serve.phase.queue_us";
@@ -125,15 +124,6 @@ inline constexpr char kServePhaseSerializeUs[] = "serve.phase.serialize_us";
 inline constexpr char kServePhaseTotalUs[] = "serve.phase.total_us";
 inline constexpr char kServePhaseVerifyUs[] = "serve.phase.verify_us";
 inline constexpr char kServePhaseWindowUs[] = "serve.phase.window_us";
-
-// --- SLO tracking (sliding-window counters feeding rate computation) -------
-inline constexpr char kSloDeadlineMiss[] = "slo.deadline_miss";
-inline constexpr char kSloDegraded[] = "slo.degraded";
-inline constexpr char kSloDegradedDeadline[] = "slo.degraded.deadline";
-inline constexpr char kSloDegradedEmptyToc[] = "slo.degraded.empty_toc";
-inline constexpr char kSloDegradedShutdown[] = "slo.degraded.shutdown";
-inline constexpr char kSloRequests[] = "slo.requests";
-inline constexpr char kSloShardDown[] = "slo.shard_down";
 
 }  // namespace names
 }  // namespace metrics

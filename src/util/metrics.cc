@@ -9,6 +9,8 @@
 #include <sstream>
 
 #include "util/logging.h"
+#include "util/string_util.h"
+#include "util/trace.h"
 
 namespace chainsformer {
 namespace metrics {
@@ -42,17 +44,111 @@ std::string FormatNumber(double v) {
   return buf;
 }
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+/// Percentile over merged pow2 buckets: find the bucket holding the target
+/// rank, then interpolate linearly between its bounds. The overflow bucket
+/// has no finite upper bound; report its lower bound (already "absurdly
+/// slow" territory for the latencies tracked here).
+double PercentileFromBuckets(const int64_t (&buckets)[Histogram::kNumBuckets],
+                             int64_t total, double p) {
+  if (total <= 0) return 0.0;
+  const double rank = p * static_cast<double>(total);
+  int64_t cumulative = 0;
+  for (int i = 0; i < Histogram::kNumBuckets; ++i) {
+    if (buckets[i] == 0) continue;
+    cumulative += buckets[i];
+    if (static_cast<double>(cumulative) < rank) continue;
+    const double lower = i == 0 ? 0.0 : Histogram::UpperBound(i - 1);
+    if (i == Histogram::kNumBuckets - 1) return lower;
+    const double upper = Histogram::UpperBound(i);
+    const double into_bucket =
+        rank - static_cast<double>(cumulative - buckets[i]);
+    const double fraction =
+        std::clamp(into_bucket / static_cast<double>(buckets[i]), 0.0, 1.0);
+    return lower + fraction * (upper - lower);
   }
-  return out;
+  return Histogram::UpperBound(Histogram::kNumBuckets - 2);
+}
+
+int64_t ValueByName(const std::vector<std::pair<std::string, int64_t>>& values,
+                    const std::string& name) {
+  for (const auto& [n, v] : values) {
+    if (n == name) return v;
+  }
+  return 0;
 }
 
 }  // namespace
+
+int64_t TimeWheel::NowMs() {
+  // Shares the tracer's steady-clock base so serve-path instrumentation can
+  // feed timestamps it already holds into the *AtMs updates without a
+  // second clock read, and without ever mixing wheel timebases.
+  return static_cast<int64_t>(trace::NowNs() / 1'000'000);
+}
+
+TimeWheel::TimeWheel(int cells, int num_slots, int64_t slot_millis)
+    : cells_(std::max(1, cells)),
+      num_slots_(std::max(1, num_slots)),
+      slot_millis_(std::max<int64_t>(1, slot_millis)),
+      epochs_(static_cast<size_t>(num_slots_)),
+      sums_(static_cast<size_t>(num_slots_) * static_cast<size_t>(cells_)) {
+  for (auto& epoch : epochs_) epoch.store(-1, std::memory_order_relaxed);
+}
+
+void TimeWheel::AddAtMs(int cell, int64_t delta, int64_t now_ms) {
+  const int64_t epoch = now_ms / slot_millis_;
+  const size_t slot = static_cast<size_t>(epoch % num_slots_);
+  std::atomic<int64_t>* sums = &sums_[slot * static_cast<size_t>(cells_)];
+  if (epochs_[slot].load(std::memory_order_acquire) != epoch) {
+    cf::MutexLock lock(rotate_mu_);
+    if (epochs_[slot].load(std::memory_order_relaxed) != epoch) {
+      for (int i = 0; i < cells_; ++i) {
+        sums[i].store(0, std::memory_order_relaxed);
+      }
+      epochs_[slot].store(epoch, std::memory_order_release);
+    }
+  }
+  sums[cell].fetch_add(delta, std::memory_order_relaxed);
+}
+
+void TimeWheel::MergeAtMs(int64_t now_ms, int64_t* out) const {
+  const int64_t current_epoch = now_ms / slot_millis_;
+  const int64_t oldest_live = current_epoch - num_slots_ + 1;
+  for (size_t slot = 0; slot < epochs_.size(); ++slot) {
+    const int64_t epoch = epochs_[slot].load(std::memory_order_acquire);
+    if (epoch < oldest_live || epoch > current_epoch) continue;
+    const std::atomic<int64_t>* sums =
+        &sums_[slot * static_cast<size_t>(cells_)];
+    for (int i = 0; i < cells_; ++i) {
+      out[i] += sums[i].load(std::memory_order_relaxed);
+    }
+  }
+}
+
+HistogramWindow::HistogramWindow(int num_slots, int64_t slot_millis)
+    : TimeWheel(Histogram::kNumBuckets, num_slots, slot_millis) {}
+
+void HistogramWindow::ObserveAtMs(double v, int64_t now_ms) {
+  AddAtMs(Histogram::BucketIndex(v), 1, now_ms);
+}
+
+WindowedPercentiles HistogramWindow::SnapshotAtMs(int64_t now_ms) const {
+  int64_t merged[Histogram::kNumBuckets] = {};
+  MergeAtMs(now_ms, merged);
+  WindowedPercentiles out;
+  for (int i = 0; i < Histogram::kNumBuckets; ++i) {
+    out.count += merged[i];
+    if (merged[i] > 0) {
+      out.max_bound = i == Histogram::kNumBuckets - 1
+                          ? Histogram::UpperBound(i - 1)
+                          : Histogram::UpperBound(i);
+    }
+  }
+  out.p50 = PercentileFromBuckets(merged, out.count, 0.50);
+  out.p90 = PercentileFromBuckets(merged, out.count, 0.90);
+  out.p99 = PercentileFromBuckets(merged, out.count, 0.99);
+  return out;
+}
 
 int Histogram::BucketIndex(double v) {
   if (!(v > 1.0)) return 0;  // v <= 1, non-finite negatives, NaN
@@ -65,19 +161,21 @@ int Histogram::BucketIndex(double v) {
 
 double Histogram::UpperBound(int i) { return std::ldexp(1.0, i); }
 
-void Histogram::Observe(double v) {
+void Histogram::ObserveAtMs(double v, int64_t now_ms) {
   buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   AtomicAdd(sum_, v);
   AtomicMin(min_, v);
   AtomicMax(max_, v);
+  if (window_ != nullptr) window_->ObserveAtMs(v, now_ms);
 }
 
 int64_t MetricsSnapshot::CounterValue(const std::string& name) const {
-  for (const auto& [n, v] : counters) {
-    if (n == name) return v;
-  }
-  return 0;
+  return ValueByName(counters, name);
+}
+
+int64_t MetricsSnapshot::WindowView::CounterSum(const std::string& name) const {
+  return ValueByName(counters, name);
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -88,15 +186,19 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
+Counter* MetricsRegistry::GetCounter(const std::string& name, Window window) {
   cf::MutexLock lock(mu_);
   CF_CHECK(gauges_.count(name) == 0 && histograms_.count(name) == 0)
       << "metric '" << name << "' already registered with a different kind";
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    it = counters_.emplace(name, std::unique_ptr<Counter>(new Counter(name)))
+    it = counters_
+             .emplace(name,
+                      std::unique_ptr<Counter>(new Counter(name, window)))
              .first;
   }
+  CF_CHECK((it->second->window() != nullptr) == (window == Window::kSliding))
+      << "metric '" << name << "' already registered with a different window";
   return it->second.get();
 }
 
@@ -111,25 +213,34 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return it->second.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
+Histogram* MetricsRegistry::GetHistogram(const std::string& name,
+                                         Window window) {
   cf::MutexLock lock(mu_);
   CF_CHECK(counters_.count(name) == 0 && gauges_.count(name) == 0)
       << "metric '" << name << "' already registered with a different kind";
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
-             .emplace(name, std::unique_ptr<Histogram>(new Histogram(name)))
+             .emplace(name,
+                      std::unique_ptr<Histogram>(new Histogram(name, window)))
              .first;
   }
+  CF_CHECK((it->second->window() != nullptr) == (window == Window::kSliding))
+      << "metric '" << name << "' already registered with a different window";
   return it->second.get();
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   cf::MutexLock lock(mu_);
   MetricsSnapshot snap;
+  const int64_t now_ms = TimeWheel::NowMs();
   snap.counters.reserve(counters_.size());
   for (const auto& [name, c] : counters_) {
     snap.counters.emplace_back(name, c->Value());
+    if (const CounterWindow* w = c->window()) {
+      snap.window.seconds = std::max(snap.window.seconds, w->WindowSeconds());
+      snap.window.counters.emplace_back(name, w->SumAtMs(now_ms));
+    }
   }
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) {
@@ -153,6 +264,10 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
            n});
     }
     snap.histograms.push_back(std::move(hs));
+    if (const HistogramWindow* w = h->window()) {
+      snap.window.seconds = std::max(snap.window.seconds, w->WindowSeconds());
+      snap.window.histograms.emplace_back(name, w->SnapshotAtMs(now_ms));
+    }
   }
   // std::map iteration is already name-sorted; keep that as the contract.
   return snap;

@@ -86,8 +86,17 @@ std::string EscapeJson(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      // JSON strings may not hold raw control characters.
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out.push_back(c);
+    }
   }
   return out;
 }

@@ -32,7 +32,8 @@ bool StartsWith(const std::string& s, const std::string& prefix);
 bool JsonField(const std::string& line, const std::string& key,
                std::string* out);
 
-/// Escapes `"` and `\` so `s` can be embedded in a JSON string literal.
+/// Escapes `"`, `\` and every control character below 0x20 so `s` can be
+/// embedded in a JSON string literal.
 std::string EscapeJson(const std::string& s);
 
 /// Re-serializes a JsonField value as one JSON token: `raw` unchanged when it

@@ -3,11 +3,14 @@
 // subcommands are covered by the library tests; here we verify the tool
 // wiring: flags, TSV output, graph reload, and metrics/trace export.
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -122,6 +125,92 @@ TEST(CliTest, TrainWritesMetricsAndTraceJson) {
   std::remove(numeric.c_str());
   std::remove(metrics_path.c_str());
   std::remove(trace_path.c_str());
+}
+
+std::string ServePath() { return "../tools/chainsformer_serve"; }
+
+/// Output lines of `text`, without their newlines.
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+TEST(CliTest, ServeStdinAnswersEveryRequestLineWithOneJsonLine) {
+  if (!CliAvailable() || !std::ifstream(ServePath()).good()) {
+    GTEST_SKIP() << "CLI binaries not found";
+  }
+  const std::string triples = "/tmp/cf_cli_triples4.tsv";
+  const std::string numeric = "/tmp/cf_cli_numeric4.tsv";
+  const std::string checkpoint = "/tmp/cf_cli_model4.cfsm";
+  const std::string requests = "/tmp/cf_cli_requests4.ndjson";
+  RunCommand(CliPath() + " generate --dataset=yago --scale=0.03 --triples=" +
+             triples + " --numeric=" + numeric);
+  const std::string trained = RunCommand(
+      CliPath() + " train --triples=" + triples + " --numeric=" + numeric +
+      " --epochs=1 --train-queries=30 --num-walks=24 --top-k=6"
+      " --hidden-dim=16 --filter-dim=8 --verbose=false --checkpoint=" +
+      checkpoint);
+  ASSERT_NE(trained.find("trained"), std::string::npos) << trained;
+
+  // A model query, an unknown entity whose name holds a tab (the error
+  // echoes it, so it must come back escaped), a health check, and a blank
+  // line, which gets no answer.
+  const kg::Dataset ds = kg::LoadTsvDataset("cli-test", triples, numeric);
+  ASSERT_FALSE(ds.split.test.empty());
+  const auto& query = ds.split.test.front();
+  {
+    std::ofstream out(requests);
+    out << "{\"id\": 1, \"entity\": \"" << ds.graph.EntityName(query.entity)
+        << "\", \"attribute\": \""
+        << ds.graph.AttributeName(query.attribute) << "\"}\n"
+        << "{\"id\": 2, \"entity\": \"no\tsuch\", \"attribute\": \""
+        << ds.graph.AttributeName(query.attribute) << "\"}\n"
+        << "{\"cmd\": \"healthz\"}\n"
+        << "\n";
+  }
+  const std::string flags = " --checkpoint=" + checkpoint +
+                            " --triples=" + triples + " --numeric=" + numeric;
+  // stdout only: the server logs its startup to stderr.
+  const std::string out = RunCommand("(" + ServePath() + flags +
+                                     " --serve-threads=2 < " + requests +
+                                     " 2>/dev/null)");
+  // Answers arrive in completion order, so match them by content.
+  const std::vector<std::string> lines = Lines(out);
+  ASSERT_EQ(lines.size(), 3u) << out;
+  int model = 0, unknown = 0, health = 0;
+  for (const std::string& line : lines) {
+    EXPECT_TRUE(test_json::IsValidJson(line)) << line;
+    if (line.find("\"id\": 1,") != std::string::npos &&
+        line.find("\"value\"") != std::string::npos) {
+      ++model;
+    }
+    if (line.find("\"id\": 2,") != std::string::npos &&
+        line.find("unknown entity: no\\u0009such") != std::string::npos) {
+      ++unknown;
+    }
+    if (line == "{\"ok\": true}") ++health;
+  }
+  EXPECT_EQ(model, 1) << out;
+  EXPECT_EQ(unknown, 1) << out;
+  EXPECT_EQ(health, 1) << out;
+
+  // No worker means no answers: refused with the usage error, in every role.
+  // `timeout` ends a server that starts anyway, so a regression fails here
+  // instead of serving forever.
+  for (const std::string& role :
+       {flags, flags + " --port=1", std::string(" --router=127.0.0.1:1 --port=1")}) {
+    const int status = std::system(("timeout 30 " + ServePath() + role +
+                                    " --serve-threads=0 < /dev/null > /dev/null 2>&1")
+                                       .c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << role;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << role;
+  }
+  for (const std::string& path : {triples, numeric, checkpoint, requests}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CliTest, UsageOnUnknownCommand) {

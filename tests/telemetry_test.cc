@@ -1,8 +1,7 @@
-// Tests for the sliding-window telemetry layer: time-wheel rotation and
-// expiry, percentile estimation against known distributions, windowed
-// counters, and the global registry's pointer-stability contract.
-
-#include "util/telemetry.h"
+// Tests for the sliding windows of the metrics registry: time-wheel
+// rotation and expiry, percentile estimation against known distributions,
+// windowed counters, and windowed registration (same object per name, one
+// snapshot for both views, window choice fixed per name).
 
 #include <atomic>
 #include <cstdint>
@@ -15,11 +14,11 @@
 #include "util/metrics.h"
 
 namespace chainsformer {
-namespace telemetry {
+namespace metrics {
 namespace {
 
 TEST(WindowedHistogramTest, EmptySnapshotIsZero) {
-  WindowedHistogram h;
+  HistogramWindow h;
   WindowedPercentiles p = h.SnapshotAtMs(0);
   EXPECT_EQ(p.count, 0);
   EXPECT_EQ(p.p50, 0.0);
@@ -28,7 +27,7 @@ TEST(WindowedHistogramTest, EmptySnapshotIsZero) {
 }
 
 TEST(WindowedHistogramTest, PercentilesLandInOwningBucket) {
-  WindowedHistogram h;
+  HistogramWindow h;
   const int64_t now = 5'000;
   // 90 observations near 100us, 10 near 3000us: p50/p90 must stay in the
   // low bucket's range, p99 in the high one's. Pow2 buckets give < 2x
@@ -51,7 +50,7 @@ TEST(WindowedHistogramTest, PercentilesLandInOwningBucket) {
 }
 
 TEST(WindowedHistogramTest, ObservationsExpireAfterWindow) {
-  WindowedHistogram h(/*num_slots=*/4, /*slot_millis=*/100);
+  HistogramWindow h(/*num_slots=*/4, /*slot_millis=*/100);
   h.ObserveAtMs(50.0, 0);
   h.ObserveAtMs(50.0, 0);
   EXPECT_EQ(h.SnapshotAtMs(0).count, 2);
@@ -62,7 +61,7 @@ TEST(WindowedHistogramTest, ObservationsExpireAfterWindow) {
 }
 
 TEST(WindowedHistogramTest, NewObservationsReclaimExpiredSlots) {
-  WindowedHistogram h(/*num_slots=*/2, /*slot_millis=*/100);
+  HistogramWindow h(/*num_slots=*/2, /*slot_millis=*/100);
   h.ObserveAtMs(1000.0, 0);    // slot 0, epoch 0
   h.ObserveAtMs(8.0, 250);     // slot 0 again (epoch 2): must reset first
   WindowedPercentiles p = h.SnapshotAtMs(250);
@@ -72,7 +71,7 @@ TEST(WindowedHistogramTest, NewObservationsReclaimExpiredSlots) {
 }
 
 TEST(WindowedHistogramTest, SlidingWindowKeepsOnlyRecentSlots) {
-  WindowedHistogram h(/*num_slots=*/3, /*slot_millis=*/100);
+  HistogramWindow h(/*num_slots=*/3, /*slot_millis=*/100);
   h.ObserveAtMs(10.0, 0);    // epoch 0
   h.ObserveAtMs(10.0, 100);  // epoch 1
   h.ObserveAtMs(10.0, 200);  // epoch 2
@@ -84,7 +83,7 @@ TEST(WindowedHistogramTest, SlidingWindowKeepsOnlyRecentSlots) {
 }
 
 TEST(WindowedHistogramTest, ConcurrentObservesAreAllCounted) {
-  WindowedHistogram h;
+  HistogramWindow h;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
   std::vector<std::thread> workers;
@@ -102,14 +101,14 @@ TEST(WindowedHistogramTest, ConcurrentObservesAreAllCounted) {
 }
 
 TEST(WindowedHistogramTest, NowMsIsMonotonic) {
-  const int64_t a = WindowedHistogram::NowMs();
-  const int64_t b = WindowedHistogram::NowMs();
+  const int64_t a = HistogramWindow::NowMs();
+  const int64_t b = HistogramWindow::NowMs();
   EXPECT_GE(a, 0);
   EXPECT_GE(b, a);
 }
 
 TEST(WindowedCounterTest, SumInsideWindowAndExpiry) {
-  WindowedCounter c(/*num_slots=*/3, /*slot_millis=*/100);
+  CounterWindow c(/*num_slots=*/3, /*slot_millis=*/100);
   c.IncrementAtMs(5, 0);
   c.IncrementAtMs(7, 120);
   EXPECT_EQ(c.SumAtMs(120), 12);
@@ -119,44 +118,78 @@ TEST(WindowedCounterTest, SumInsideWindowAndExpiry) {
 }
 
 TEST(WindowedCounterTest, WindowSecondsMatchesGeometry) {
-  WindowedCounter c(/*num_slots=*/4, /*slot_millis=*/250);
+  CounterWindow c(/*num_slots=*/4, /*slot_millis=*/250);
   EXPECT_DOUBLE_EQ(c.WindowSeconds(), 1.0);
 }
 
-TEST(TelemetryRegistryTest, GetReturnsSameObjectForSameName) {
-  TelemetryRegistry reg;
-  WindowedHistogram* a = reg.GetHistogram("phase.total_us");
-  WindowedHistogram* b = reg.GetHistogram("phase.total_us");
+TEST(WindowedRegistryTest, GetReturnsSameObjectForSameName) {
+  MetricsRegistry reg;
+  Histogram* a = reg.GetHistogram("phase.total_us", Window::kSliding);
+  Histogram* b = reg.GetHistogram("phase.total_us", Window::kSliding);
   EXPECT_EQ(a, b);
-  EXPECT_NE(a, reg.GetHistogram("phase.compute_us"));
-  WindowedCounter* c = reg.GetCounter("requests");
-  EXPECT_EQ(c, reg.GetCounter("requests"));
+  EXPECT_NE(a->window(), nullptr);
+  EXPECT_NE(a, reg.GetHistogram("phase.compute_us", Window::kSliding));
+  Counter* c = reg.GetCounter("requests", Window::kSliding);
+  EXPECT_EQ(c, reg.GetCounter("requests", Window::kSliding));
+  EXPECT_NE(c->window(), nullptr);
+  EXPECT_EQ(reg.GetCounter("plain")->window(), nullptr);
 }
 
-TEST(TelemetryRegistryTest, SnapshotListsMetricsSortedByName) {
-  TelemetryRegistry reg;
-  reg.GetHistogram("zz")->Observe(4.0);
-  reg.GetHistogram("aa")->Observe(2.0);
-  reg.GetCounter("hits")->Increment(3);
-  TelemetrySnapshot snap = reg.Snapshot();
-  ASSERT_EQ(snap.histograms.size(), 2u);
-  EXPECT_EQ(snap.histograms[0].first, "aa");
-  EXPECT_EQ(snap.histograms[1].first, "zz");
-  EXPECT_EQ(snap.histograms[0].second.count, 1);
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].first, "hits");
-  EXPECT_EQ(snap.counters[0].second, 3);
-  EXPECT_EQ(snap.CounterSum("hits"), 3);
-  EXPECT_EQ(snap.CounterSum("absent"), 0);
-  EXPECT_GT(snap.window_seconds, 0.0);
+TEST(WindowedRegistryTest, SnapshotListsWindowsSortedByName) {
+  MetricsRegistry reg;
+  reg.GetHistogram("zz", Window::kSliding)->Observe(4.0);
+  reg.GetHistogram("aa", Window::kSliding)->Observe(2.0);
+  reg.GetHistogram("cumulative_only")->Observe(2.0);
+  reg.GetCounter("hits", Window::kSliding)->Increment(3);
+  reg.GetCounter("plain")->Increment(5);
+  const MetricsSnapshot snap = reg.Snapshot();
+  ASSERT_EQ(snap.window.histograms.size(), 2u);
+  EXPECT_EQ(snap.window.histograms[0].first, "aa");
+  EXPECT_EQ(snap.window.histograms[1].first, "zz");
+  EXPECT_EQ(snap.window.histograms[0].second.count, 1);
+  ASSERT_EQ(snap.window.counters.size(), 1u);
+  EXPECT_EQ(snap.window.counters[0].first, "hits");
+  EXPECT_EQ(snap.window.counters[0].second, 3);
+  EXPECT_EQ(snap.window.CounterSum("hits"), 3);
+  EXPECT_EQ(snap.window.CounterSum("plain"), 0);
+  EXPECT_EQ(snap.window.CounterSum("absent"), 0);
+  EXPECT_GT(snap.window.seconds, 0.0);
+  // The same snapshot carries the cumulative view of the windowed series.
+  EXPECT_EQ(snap.CounterValue("hits"), 3);
+  EXPECT_EQ(snap.CounterValue("plain"), 5);
+  ASSERT_EQ(snap.histograms.size(), 3u);
 }
 
-TEST(TelemetryRegistryTest, GlobalIsSingleton) {
-  TelemetryRegistry& a = TelemetryRegistry::Global();
-  TelemetryRegistry& b = TelemetryRegistry::Global();
-  EXPECT_EQ(&a, &b);
+TEST(WindowedRegistryTest, EveryUpdatePathFeedsTheWindow) {
+  MetricsRegistry reg;
+  Counter* c = reg.GetCounter("c", Window::kSliding);
+  Histogram* h = reg.GetHistogram("h", Window::kSliding);
+  const int64_t now_ms = TimeWheel::NowMs();
+  c->Increment();
+  c->Increment(2);
+  c->IncrementAtMs(4, now_ms);
+  h->Observe(8.0);
+  h->ObserveAtMs(16.0, now_ms);
+  const MetricsSnapshot snap = reg.Snapshot();
+  EXPECT_EQ(snap.CounterValue("c"), 7);
+  EXPECT_EQ(snap.window.CounterSum("c"), 7);
+  ASSERT_EQ(snap.window.histograms.size(), 1u);
+  EXPECT_EQ(snap.window.histograms[0].second.count, h->Count());
+  EXPECT_EQ(h->Count(), 2);
+}
+
+TEST(WindowedRegistryDeathTest, WindowChoiceIsFixedPerNameLikeTheKind) {
+  MetricsRegistry reg;
+  reg.GetCounter("windowed", Window::kSliding);
+  reg.GetHistogram("plain");
+  EXPECT_DEATH(reg.GetHistogram("windowed", Window::kSliding),
+               "'windowed' already registered with a different kind");
+  EXPECT_DEATH(reg.GetCounter("windowed"),
+               "'windowed' already registered with a different window");
+  EXPECT_DEATH(reg.GetHistogram("plain", Window::kSliding),
+               "'plain' already registered with a different window");
 }
 
 }  // namespace
-}  // namespace telemetry
+}  // namespace metrics
 }  // namespace chainsformer

@@ -42,6 +42,8 @@ class Checker {
   bool String() {
     if (!Consume('"')) return false;
     while (pos_ < s_.size() && s_[pos_] != '"') {
+      // JSON strings may not hold raw control characters.
+      if (static_cast<unsigned char>(s_[pos_]) < 0x20) return false;
       if (s_[pos_] == '\\') ++pos_;  // skip escaped char
       ++pos_;
     }

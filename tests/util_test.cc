@@ -82,6 +82,28 @@ TEST(StringUtilTest, JsonNumberOrStringQuotesGarbage) {
   }
 }
 
+TEST(StringUtilTest, EscapeJsonEscapesQuoteAndBackslash) {
+  EXPECT_EQ(EscapeJson("plain"), "plain");
+  EXPECT_EQ(EscapeJson("a\"b\\c"), "a\\\"b\\\\c");
+}
+
+TEST(StringUtilTest, EscapeJsonEscapesEveryControlCharacter) {
+  EXPECT_EQ(EscapeJson("a\tb"), "a\\u0009b");
+  EXPECT_EQ(EscapeJson("line\n"), "line\\u000a");
+  EXPECT_EQ(EscapeJson(std::string("\0x", 2)), "\\u0000x");
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string escaped = EscapeJson(std::string(1, static_cast<char>(c)));
+    ASSERT_EQ(escaped.size(), 6u) << c;
+    EXPECT_EQ(escaped.substr(0, 2), "\\u") << c;
+  }
+}
+
+TEST(StringUtilTest, EscapeJsonKeepsPrintableAndNonAsciiBytes) {
+  // 0x7f (DEL) and UTF-8 multibyte sequences are legal inside JSON strings.
+  const std::string kept = "~\x7f\xc3\xa9 z";
+  EXPECT_EQ(EscapeJson(kept), kept);
+}
+
 TEST(StopwatchTest, ElapsedMonotone) {
   Stopwatch sw;
   const double a = sw.ElapsedSeconds();

@@ -51,8 +51,8 @@
 //                        atomic .load/.store/.exchange/.fetch_*/
 //                        .compare_exchange_* calls must spell an explicit
 //                        std::memory_order — the seq_cst default hides the
-//                        cost and the intent on hot paths (metrics and
-//                        telemetry are documented as relaxed).
+//                        cost and the intent on hot paths (metric updates,
+//                        windowed or not, are documented as relaxed).
 //   blocking-io-outside-net
 //                        global-scope ::read/::write/::recv/::send/::accept/
 //                        ::connect calls anywhere but util/net.cc — all
@@ -76,7 +76,7 @@
 //   unknown-env-var      every `CF_*` environment variable mentioned must
 //                        appear verbatim in the sources.
 //   stale-metric         every dotted metric-style token under a subsystem
-//                        prefix from src/util/metric_names.h (serve., slo.,
+//                        prefix from src/util/metric_names.h (serve.,
 //                        router., plan., …) must be a constant there, a
 //                        prefix of one, or a dotted literal still present in
 //                        the sources — renaming a metric without updating
@@ -408,7 +408,7 @@ class Linter {
       // Metric names must come from util/metric_names.h: a typo'd dotted
       // literal silently registers a brand-new, forever-empty series that
       // no test can catch. Flags Get{Counter,Gauge,Histogram}("...") on the
-      // metrics and telemetry registries alike.
+      // metrics registry, windowed registrations included.
       for (const char* getter : {"GetCounter", "GetGauge", "GetHistogram"}) {
         const size_t pos = FindWord(code, getter);
         if (pos == std::string::npos) continue;
@@ -836,7 +836,7 @@ class DocsChecker {
   }
 
   /// stale-metric: a dotted token whose first segment matches a metric
-  /// subsystem prefix (serve., slo., router., plan., ...) must either be a
+  /// subsystem prefix (serve., router., plan., ...) must either be a
   /// name from src/util/metric_names.h, a prefix of one (docs legitimately
   /// say "the serve.phase histograms"), or a dotted string literal that
   /// still exists in the sources (cf::Mutex site names share the dotted

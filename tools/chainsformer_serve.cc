@@ -35,11 +35,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "graph/quant.h"
@@ -57,9 +55,9 @@
 #include "util/metrics.h"
 #include "util/net.h"
 #include "util/string_util.h"
-#include "util/telemetry.h"
 #include "util/trace.h"
 #include "util/sync.h"
+#include "util/thread_pool.h"
 
 namespace chainsformer {
 namespace {
@@ -68,7 +66,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: chainsformer_serve --checkpoint=PATH --triples=PATH --numeric=PATH\n"
-      "  --serve-threads=N    client worker threads for stdin mode (default 4)\n"
+      "  --serve-threads=N    request worker threads, >= 1 (default 4)\n"
       "  --batch-window-us=N  micro-batch coalescing window (default 200)\n"
       "  --deadline-ms=N      per-request deadline; 0 disables (default 50)\n"
       "  --max-batch=N        requests per micro-batch cap (default 32)\n"
@@ -266,9 +264,8 @@ std::string HandleLine(const ServeContext& ctx, const std::string& line) {
   r += buf;
   const uint64_t ser_end_ns = trace::NowNs();
   trace::EmitSpan("serve.serialize", ser_start_ns, ser_end_ns, resp.trace_id);
-  static auto* serialize_hist =
-      telemetry::TelemetryRegistry::Global().GetHistogram(
-          metrics::names::kServePhaseSerializeUs);
+  static auto* serialize_hist = metrics::MetricsRegistry::Global().GetHistogram(
+      metrics::names::kServePhaseSerializeUs, metrics::Window::kSliding);
   const int64_t serialize_us =
       static_cast<int64_t>((ser_end_ns - ser_start_ns) / 1000);
   serialize_hist->ObserveAtMs(static_cast<double>(serialize_us),
@@ -282,47 +279,19 @@ std::string HandleLine(const ServeContext& ctx, const std::string& line) {
 // --- stdin mode ------------------------------------------------------------
 
 int ServeStdin(const ServeContext& ctx, int serve_threads) {
-  cf::Mutex queue_mu{"tools.stdin_queue"};
   cf::Mutex out_mu{"tools.stdout"};
-  cf::CondVar queue_cv;
-  // Locals of ServeStdin, protected by queue_mu via lexical scope.
-  std::deque<std::string> lines;  // cf-lint: allow(unannotated-guarded-member)
-  bool done = false;              // cf-lint: allow(unannotated-guarded-member)
-
-  auto worker = [&] {
-    while (true) {
-      std::string line;
-      {
-        cf::MutexLock lock(queue_mu);
-        queue_cv.Wait(queue_mu, [&] { return done || !lines.empty(); });
-        if (lines.empty()) return;  // done and drained
-        line = std::move(lines.front());
-        lines.pop_front();
-      }
-      if (line.empty()) continue;
-      const std::string response = HandleLine(ctx, line);
-      cf::MutexLock lock(out_mu);
-      std::printf("%s\n", response.c_str());
-    }
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(serve_threads));
-  for (int i = 0; i < serve_threads; ++i) workers.emplace_back(worker);
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    {
-      cf::MutexLock lock(queue_mu);
-      lines.push_back(std::move(line));
-    }
-    queue_cv.NotifyOne();
-  }
   {
-    cf::MutexLock lock(queue_mu);
-    done = true;
-  }
-  queue_cv.NotifyAll();
-  for (auto& w : workers) w.join();
+    ThreadPool workers(static_cast<size_t>(serve_threads));
+    std::string line;
+    while (std::getline(std::cin, line)) {
+      if (line.empty()) continue;
+      workers.Schedule([&ctx, &out_mu, line = std::move(line)] {
+        const std::string response = HandleLine(ctx, line);
+        cf::MutexLock lock(out_mu);
+        std::printf("%s\n", response.c_str());
+      });
+    }
+  }  // ~ThreadPool answers every scheduled line before it joins
   std::fflush(stdout);
   return 0;
 }
@@ -389,7 +358,8 @@ int RunTcp(int port, int workers, const char* role,
 /// dataset. Each request line forwards to the shard owning its entity on
 /// the consistent-hash ring; down shards reroute (tagged) or, with the
 /// whole fleet gone, degrade answer-shaped (see serve/router.h).
-int RouterMain(FlagParser& flags, const std::string& spec) {
+int RouterMain(FlagParser& flags, const std::string& spec,
+               int serve_threads) {
   const int port = static_cast<int>(flags.GetInt("port", 0));
   if (port <= 0) {
     std::fprintf(stderr, "--router needs --port\n");
@@ -416,7 +386,6 @@ int RouterMain(FlagParser& flags, const std::string& spec) {
     backends.push_back(std::make_unique<serve::TcpShardBackend>(
         addr.substr(0, colon), shard_port));
   }
-  const int serve_threads = static_cast<int>(flags.GetInt("serve-threads", 4));
   const std::string metrics_json = flags.GetString("metrics-json");
   const bool print_stats = flags.GetBool("stats", false);
   const int admin_port = static_cast<int>(flags.GetInt("admin-port", -1));
@@ -453,8 +422,15 @@ int RouterMain(FlagParser& flags, const std::string& spec) {
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
+  // Checked before anything loads, in every role: with no worker, stdin
+  // mode would read every line and answer none.
+  const int serve_threads = static_cast<int>(flags.GetInt("serve-threads", 4));
+  if (serve_threads < 1) {
+    std::fprintf(stderr, "--serve-threads must be >= 1\n");
+    return Usage();
+  }
   const std::string router_spec = flags.GetString("router");
-  if (!router_spec.empty()) return RouterMain(flags, router_spec);
+  if (!router_spec.empty()) return RouterMain(flags, router_spec, serve_threads);
   const std::string checkpoint = flags.GetString("checkpoint");
   const std::string triples = flags.GetString("triples");
   const std::string numeric = flags.GetString("numeric");
@@ -516,7 +492,6 @@ int Main(int argc, char** argv) {
                                           : "");
   }
 
-  const int serve_threads = static_cast<int>(flags.GetInt("serve-threads", 4));
   const int port = static_cast<int>(flags.GetInt("port", 0));
   const int admin_port = static_cast<int>(flags.GetInt("admin-port", -1));
   const std::string access_log_path = flags.GetString("access-log");

@@ -6,8 +6,9 @@
 #                             lock-free metrics/tracer paths, lock-order
 #                             validator tests
 #   - label `sanitizer`     — tape sanitizer behavior + death tests
-#   - label `observability` — windowed telemetry, request tracing, and the
-#                             admin endpoint (HTTP scrape round-trips)
+#   - label `observability` — windowed metrics, the SLO pin test, request
+#                             tracing, and the admin endpoint (HTTP scrape
+#                             round-trips)
 #   - label `quantized`     — int8 kernels, int8 plan compilation, and the
 #                             checkpoint quant block (DESIGN §6g)
 #   - label `retrieval`     — the random-walk loop (path array, flat
