@@ -82,11 +82,6 @@ TEST(StringUtilTest, JsonNumberOrStringQuotesGarbage) {
   }
 }
 
-TEST(StringUtilTest, EscapeJsonEscapesQuoteAndBackslash) {
-  EXPECT_EQ(EscapeJson("plain"), "plain");
-  EXPECT_EQ(EscapeJson("a\"b\\c"), "a\\\"b\\\\c");
-}
-
 TEST(StringUtilTest, EscapeJsonEscapesEveryControlCharacter) {
   EXPECT_EQ(EscapeJson("a\tb"), "a\\u0009b");
   EXPECT_EQ(EscapeJson("line\n"), "line\\u000a");
