@@ -2,13 +2,12 @@
 // an InferenceService, and drives it with N concurrent client threads in two
 // modes — single-request-at-a-time (max_batch=1, the no-batching baseline)
 // and micro-batched (duplicate requests coalesce, unique forwards share a
-// dispatch, DESIGN §6e) — crossed with the dispatch backend: eager tape
-// interpretation vs the compiled static-graph plans (DESIGN §6f,
-// --static-graph, the shipping default). The batched-static cell also runs
-// at int8 precision (DESIGN §6g) at every client count, and the summary
-// records the WORST int8 vs fp64 cell — the acceptance bar is a win
-// everywhere, not on average. A batch-window sweep runs at the highest
-// client count. Each (mode, graph, clients) cell runs two workloads:
+// dispatch, DESIGN §6e), both answered through the compiled static-graph
+// plans (DESIGN §6f). The batched cell also runs at int8 precision
+// (DESIGN §6g) at every client count, and the summary records the WORST
+// int8 vs fp64 cell — the acceptance bar is a win everywhere, not on
+// average. A batch-window sweep runs at the highest client count. Each
+// (mode, clients) cell runs two workloads:
 //
 //   uniform — every request strides over the full working set. Measures raw
 //             dispatch overhead; on a single hardware thread batched and
@@ -184,7 +183,6 @@ LoadResult RunLoad(const core::ChainsFormerModel& model,
 
 struct Record {
   std::string mode;       // "single" or "batched"
-  std::string graph;      // "eager" or "static" (compiled-plan dispatch)
   std::string workload;   // "uniform" or "hotspot"
   std::string precision;  // "fp64" or "int8" (DESIGN §6g)
   int client_threads = 0;
@@ -583,20 +581,17 @@ int Main(int argc, char** argv) {
   auto* dedup_counter =
       metrics::MetricsRegistry::Global().GetCounter("serve.batch_dedup");
   std::vector<Record> records;
-  auto run = [&](const std::string& mode, const std::string& graph,
-                 const std::string& workload, int threads, int64_t window_us,
+  auto run = [&](const std::string& mode, const std::string& workload, int threads, int64_t window_us,
                  int max_batch, const std::string& precision = "fp64") {
     serve::ServeOptions so;
     so.batch_window_us = window_us;
     so.max_batch = max_batch;
     so.deadline_ms = 0;  // throughput run: measure the model path, not timeouts
     so.compute_threads = compute_threads;
-    so.use_static_graph = graph == "static";
     graph::ParsePrecision(precision, &so.precision);
     if (so.precision == graph::Precision::kInt8) so.quant = quant_store;
     Record r;
     r.mode = mode;
-    r.graph = graph;
     r.workload = workload;
     r.precision = precision;
     r.client_threads = threads;
@@ -615,11 +610,11 @@ int Main(int argc, char** argv) {
     }
     records.push_back(r);
     std::printf(
-        "%-8s %-7s %-5s %-8s clients=%d window=%5lldus max_batch=%-3d  "
+        "%-8s %-5s %-8s clients=%d window=%5lldus max_batch=%-3d  "
         "%8.0f q/s  "
         "p50 %6.0fus  p90 %6.0fus  p99 %6.0fus  mean_batch %.2f  "
         "coalesced %lld  phases(q/w/c/v) %.0f/%.0f/%.0f/%.0fus\n",
-        mode.c_str(), graph.c_str(), precision.c_str(), workload.c_str(),
+        mode.c_str(), precision.c_str(), workload.c_str(),
         threads,
         static_cast<long long>(window_us), max_batch, r.load.throughput_qps,
         r.load.p50_us, r.load.p90_us, r.load.p99_us, r.load.mean_batch_size,
@@ -632,48 +627,38 @@ int Main(int argc, char** argv) {
   double single_hot_at_max = 0.0, batched_hot_at_max = 0.0;
   double single_uni_at_max = 0.0, batched_uni_at_max = 0.0;
   for (const int threads : client_thread_counts) {
-    for (const char* graph : {"eager", "static"}) {
-      const double su = run("single", graph, "uniform", threads, 0, 1);
-      const double bu =
-          run("batched", graph, "uniform", threads, default_window, 32);
-      const double sh = run("single", graph, "hotspot", threads, 0, 1);
-      const double bh =
-          run("batched", graph, "hotspot", threads, default_window, 32);
-      if (std::string(graph) == "static") {
-        single_uni_at_max = su;
-        batched_uni_at_max = bu;
-        single_hot_at_max = sh;
-        batched_hot_at_max = bh;
-        // Reduced-precision dimension (DESIGN §6g): the same shipping cell
-        // (batched static dispatch) at int8, so every client count records
-        // the quantization speedup on both workloads.
-        run("batched", graph, "uniform", threads, default_window, 32, "int8");
-        run("batched", graph, "hotspot", threads, default_window, 32, "int8");
-      }
-    }
+    single_uni_at_max = run("single", "uniform", threads, 0, 1);
+    batched_uni_at_max = run("batched", "uniform", threads, default_window, 32);
+    single_hot_at_max = run("single", "hotspot", threads, 0, 1);
+    batched_hot_at_max = run("batched", "hotspot", threads, default_window, 32);
+    // Reduced-precision dimension (DESIGN §6g): the same shipping cell
+    // (batched dispatch) at int8, so every client count records the
+    // quantization speedup on both workloads.
+    run("batched", "uniform", threads, default_window, 32, "int8");
+    run("batched", "hotspot", threads, default_window, 32, "int8");
   }
   // Batch-window sweep at the highest client count (shipping config:
-  // batched dispatch over the static graph).
+  // batched dispatch).
   const int max_threads = client_thread_counts.back();
   for (const int64_t window : batch_windows) {
     if (window == default_window) continue;  // already measured above
-    run("batched", "static", "hotspot", max_threads, window, 32);
+    run("batched", "hotspot", max_threads, window, 32);
   }
 
-  std::printf("batched vs single (static, hotspot) at %d clients: %.2fx\n",
+  std::printf("batched vs single (hotspot) at %d clients: %.2fx\n",
               max_threads, batched_hot_at_max / single_hot_at_max);
-  std::printf("batched vs single (static, uniform) at %d clients: %.2fx\n",
+  std::printf("batched vs single (uniform) at %d clients: %.2fx\n",
               max_threads, batched_uni_at_max / single_uni_at_max);
 
-  // int8 vs fp64 over the batched-static cells: the ISSUE acceptance bar is
-  // that int8 wins QPS and p50 at EVERY client count on BOTH workloads, so
-  // the recorded summary is the worst cell, not the best.
-  auto batched_static = [&](const std::string& precision,
-                            const std::string& workload,
-                            int threads) -> const Record* {
+  // int8 vs fp64 over the batched cells: the acceptance bar is that int8
+  // wins QPS and p50 at EVERY client count on BOTH workloads, so the
+  // recorded summary is the worst cell, not the best.
+  auto batched_cell = [&](const std::string& precision,
+                          const std::string& workload,
+                          int threads) -> const Record* {
     for (const Record& r : records) {
-      if (r.mode == "batched" && r.graph == "static" &&
-          r.precision == precision && r.workload == workload &&
+      if (r.mode == "batched" && r.precision == precision &&
+          r.workload == workload &&
           r.client_threads == threads && r.batch_window_us == default_window) {
         return &r;
       }
@@ -683,13 +668,13 @@ int Main(int argc, char** argv) {
   double int8_min_qps_ratio = 1e18, int8_max_p50_ratio = 0.0;
   for (const int threads : client_thread_counts) {
     for (const char* workload : {"uniform", "hotspot"}) {
-      const Record* fp64 = batched_static("fp64", workload, threads);
-      const Record* int8 = batched_static("int8", workload, threads);
+      const Record* fp64 = batched_cell("fp64", workload, threads);
+      const Record* int8 = batched_cell("int8", workload, threads);
       if (fp64 == nullptr || int8 == nullptr) continue;
       const double qps_ratio =
           int8->load.throughput_qps / fp64->load.throughput_qps;
       const double p50_ratio = int8->load.p50_us / fp64->load.p50_us;
-      std::printf("int8 vs fp64 (batched static, %s) at %d clients: "
+      std::printf("int8 vs fp64 (batched, %s) at %d clients: "
                   "%.2fx qps, %.2fx p50\n",
                   workload, threads, qps_ratio, p50_ratio);
       int8_min_qps_ratio = std::min(int8_min_qps_ratio, qps_ratio);
@@ -767,7 +752,7 @@ int Main(int argc, char** argv) {
   for (size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
     std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"graph\": \"%s\", "
+                 "    {\"mode\": \"%s\", "
                  "\"workload\": \"%s\", \"precision\": \"%s\", "
                  "\"client_threads\": %d, "
                  "\"batch_window_us\": %lld, \"max_batch\": %d, "
@@ -778,7 +763,7 @@ int Main(int argc, char** argv) {
                  "\"mean_cache_us\": %.1f, \"mean_queue_us\": %.1f, "
                  "\"mean_window_us\": %.1f, \"mean_compute_us\": %.1f, "
                  "\"mean_verify_us\": %.1f}%s\n",
-                 r.mode.c_str(), r.graph.c_str(), r.workload.c_str(),
+                 r.mode.c_str(), r.workload.c_str(),
                  r.precision.c_str(), r.client_threads,
                  static_cast<long long>(r.batch_window_us), r.max_batch,
                  r.load.throughput_qps, r.load.p50_us, r.load.p90_us,

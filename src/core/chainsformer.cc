@@ -421,8 +421,7 @@ TreeOfChains ChainsFormerModel::RetrieveChains(const Query& query) const {
 
 std::vector<BatchPrediction> ChainsFormerModel::PredictOnChainSets(
     const std::vector<Query>& queries,
-    const std::vector<const TreeOfChains*>& chain_sets,
-    ThreadPool* pool) const {
+    const std::vector<const TreeOfChains*>& chain_sets) const {
   CF_CHECK(queries.size() == chain_sets.size())
       << "PredictOnChainSets: " << queries.size() << " queries vs "
       << chain_sets.size() << " chain sets";
@@ -446,26 +445,6 @@ std::vector<BatchPrediction> ChainsFormerModel::PredictOnChainSets(
     }
   }
   if (live.empty()) return out;
-
-  if (pool != nullptr && live.size() > 1) {
-    // Throughput path: per-query forwards fan out across the pool, exactly
-    // like EvaluateParallel — parameters are frozen, grad mode is
-    // thread-local, and each worker runs the same compute Predict() would,
-    // so every entry stays bitwise-identical to the serial answer.
-    pool->ParallelFor(live.size(), [&](size_t j) {
-      CF_TRACE_SCOPE("serve.batch_query");
-      tensor::NoGradGuard worker_no_grad;
-      const size_t i = live[j];
-      ForwardState state = ForwardOnChains(*chain_sets[i]);
-      const auto& s = train_stats_[static_cast<size_t>(queries[i].attribute)];
-      const double normalized =
-          state.valid ? static_cast<double>(state.prediction.item())
-                      : FallbackNormalized(queries[i].attribute);
-      out[i].value = s.Denormalize(std::clamp(normalized, -0.1, 1.1));
-      out[i].has_evidence = state.valid;
-    });
-    return out;
-  }
 
   auto finish = [&](size_t i, const NumericalReasoner::Output& r) {
     const auto& s = train_stats_[static_cast<size_t>(queries[i].attribute)];

@@ -122,16 +122,9 @@ class ChainsFormerModel {
   /// guarantees matches per-chain encoding bit-for-bit. Queries with an
   /// empty chain set get the train-mean fallback and has_evidence = false.
   /// Const and thread-safe (runs under NoGradGuard).
-  ///
-  /// With a non-null `pool` and more than one live query, the batch instead
-  /// fans out per-query forwards across the pool (the EvaluateParallel
-  /// pattern: each worker runs the exact Predict() compute over frozen
-  /// parameters, so the bitwise postcondition is unchanged). This is the
-  /// serving dispatcher's throughput path.
   std::vector<BatchPrediction> PredictOnChainSets(
       const std::vector<Query>& queries,
-      const std::vector<const TreeOfChains*>& chain_sets,
-      ThreadPool* pool = nullptr) const;
+      const std::vector<const TreeOfChains*>& chain_sets) const;
 
   /// Full reasoning trace for a query (Fig. 5 / Table V).
   Explanation Explain(const Query& query);

@@ -42,6 +42,7 @@ StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model)
 StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model,
                                        RuntimeOptions options)
     : model_(model),
+      compiles_(Supports(model)),
       options_(std::move(options)),
       tolerance_(options_.precision == Precision::kInt8
                      ? options_.verify_tolerance
@@ -53,9 +54,10 @@ StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model,
   verify_micros_ = reg.GetCounter(metrics::names::kPlanVerifyMicros);
   quant_fallbacks_ = reg.GetCounter(metrics::names::kPlanQuantFallbacks);
   arena_bytes_ = reg.GetGauge(metrics::names::kPlanArenaBytes);
-  CF_CHECK(Supports(model)) << "static graphs require the Transformer encoder";
-  CF_CHECK(options_.precision != Precision::kInt8 || options_.quant != nullptr)
-      << "int8 serving requires the checkpoint's quantization store";
+  CF_CHECK(options_.precision != Precision::kInt8 ||
+           (compiles_ && options_.quant != nullptr))
+      << "int8 serving requires a compiled encoder and the checkpoint's "
+         "quantization store";
   CF_CHECK_GE(options_.verify_tolerance, 0.0);
 }
 
@@ -135,6 +137,7 @@ std::vector<StaticGraphRuntime::BucketStats> StaticGraphRuntime::Stats()
 core::BatchPrediction StaticGraphRuntime::Predict(
     const core::Query& query, const core::TreeOfChains& chains,
     PredictStats* stats) const {
+  if (!compiles_) return model_.PredictOnChainSets({query}, {&chains})[0];
   if (chains.empty()) {
     // Eager empty-chain-set fallback, reproduced exactly.
     CF_CHECK_LT(static_cast<size_t>(query.attribute),

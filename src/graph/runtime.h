@@ -31,7 +31,10 @@ struct RuntimeOptions {
 };
 
 /// Serves single-query predictions from compiled static plans with a small
-/// per-geometry plan cache (DESIGN §6f).
+/// per-geometry plan cache (DESIGN §6f). This is the serving dispatcher's one
+/// way to compute a query: a model whose encoder does not compile
+/// (Supports() is false) is answered by the eager PredictOnChainSets, like a
+/// bucket that failed its gate or a full plan cache, and serves fp64.
 ///
 /// Requests are bucketed by (k, padded max_len): k is exact, the token
 /// length rounds up to the next multiple of two so nearby lengths share a
@@ -78,8 +81,8 @@ class StaticGraphRuntime {
   StaticGraphRuntime(const StaticGraphRuntime&) = delete;
   StaticGraphRuntime& operator=(const StaticGraphRuntime&) = delete;
 
-  /// True when the model's geometry is supported (Transformer chain
-  /// encoder). Unsupported models must keep using the eager path.
+  /// True when the model's geometry compiles (Transformer chain encoder).
+  /// Predict serves any other model through the eager tape.
   static bool Supports(const core::ChainsFormerModel& model);
 
   /// Bitwise equivalent of
@@ -111,6 +114,7 @@ class StaticGraphRuntime {
                                      float normalized) const;
 
   const core::ChainsFormerModel& model_;
+  const bool compiles_;
   const RuntimeOptions options_;
   const double tolerance_;
   metrics::Counter* hits_;

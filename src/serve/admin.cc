@@ -126,7 +126,7 @@ std::string StatusJson(const InferenceService* service) {
      << ", \"hit_rate\": " << Num(Rate(cache_hits, cache_hits + cache_misses))
      << "}";
 
-  if (service != nullptr && service->static_runtime() != nullptr) {
+  if (service != nullptr) {
     const graph::StaticGraphRuntime* rt = service->static_runtime();
     os << ", \"precision\": {\"mode\": \""
        << graph::PrecisionName(rt->precision())
@@ -219,7 +219,7 @@ std::string PrometheusText(const InferenceService* service) {
   os << "cf_slo_degraded_cause_rate{cause=\"shutdown\"} "
      << Num(slo.degraded_shutdown_rate) << "\n";
 
-  if (service != nullptr && service->static_runtime() != nullptr) {
+  if (service != nullptr) {
     const graph::StaticGraphRuntime* rt = service->static_runtime();
     // One-hot serving-precision marker: dashboards join on the `precision`
     // label to split QPS/latency series by numeric mode.

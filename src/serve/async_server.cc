@@ -10,10 +10,16 @@
 
 namespace chainsformer {
 namespace serve {
+namespace {
+
+// Pending-connection queue of the listening socket.
+constexpr int kListenBacklog = 128;
+
+}  // namespace
 
 AsyncNdjsonServer::AsyncNdjsonServer(const Options& options, Handler handler)
     : options_(options), handler_(std::move(handler)) {
-  listener_ = net::ListenTcp(options_.port, options_.backlog);
+  listener_ = net::ListenTcp(options_.port, kListenBacklog);
   if (listener_ < 0 || !loop_.ok()) {
     CF_LOG(Error) << "async server: cannot listen on 127.0.0.1:"
                   << options_.port;
@@ -96,7 +102,7 @@ void AsyncNdjsonServer::ReadConn(Conn& c) {
       c.read_buf.erase(0, nl + 1);
       if (!line.empty()) c.pending_lines.push_back(std::move(line));
     }
-    if (c.read_buf.size() > options_.max_line_bytes) {
+    if (c.read_buf.size() > kMaxLineBytes) {
       CF_LOG(Warning) << "async server: dropping connection with "
                       << c.read_buf.size() << "-byte unterminated line";
       CloseConn(c.id);

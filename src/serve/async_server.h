@@ -42,13 +42,14 @@ namespace serve {
 /// it only touches the service and atomics).
 class AsyncNdjsonServer {
  public:
+  /// A connection whose unterminated line grows past this many bytes is
+  /// closed (bound on per-connection buffer growth; no legitimate request
+  /// comes close).
+  static constexpr size_t kMaxLineBytes = 1 << 20;
+
   struct Options {
     int port = 0;        ///< 0 binds an ephemeral port (read back via port()).
     int workers = 4;     ///< handler threads.
-    int backlog = 128;
-    /// A connection whose un-terminated line exceeds this is dropped (bound
-    /// on per-connection buffer growth; no legitimate request comes close).
-    size_t max_line_bytes = 1 << 20;
   };
   using Handler = std::function<std::string(const std::string& line)>;
 

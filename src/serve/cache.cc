@@ -45,22 +45,16 @@ bool ShardedChainCache::Get(kg::EntityId entity, kg::AttributeId attribute,
   static auto* misses =
       metrics::MetricsRegistry::Global().GetCounter(metrics::names::kServeCacheMisses);
   const uint64_t key = CacheKey(entity, attribute);
-  const uint64_t gen = generation_.load(std::memory_order_acquire);
   Shard& shard = ShardFor(key);
   {
     cf::MutexLock lock(shard.mu);
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
-      if (it->second->generation == gen) {
-        // Move to front (most-recently-used) and copy out.
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        *out = shard.lru.front().chains;
-        hits->Increment();
-        return true;
-      }
-      // Stale generation: lazily evict.
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
+      // Move to front (most-recently-used) and copy out.
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      *out = shard.lru.front().chains;
+      hits->Increment();
+      return true;
     }
   }
   misses->Increment();
@@ -70,13 +64,11 @@ bool ShardedChainCache::Get(kg::EntityId entity, kg::AttributeId attribute,
 void ShardedChainCache::Put(kg::EntityId entity, kg::AttributeId attribute,
                             core::TreeOfChains chains) {
   const uint64_t key = CacheKey(entity, attribute);
-  const uint64_t gen = generation_.load(std::memory_order_acquire);
   Shard& shard = ShardFor(key);
   cf::MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     it->second->chains = std::move(chains);
-    it->second->generation = gen;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
@@ -84,12 +76,8 @@ void ShardedChainCache::Put(kg::EntityId entity, kg::AttributeId attribute,
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
   }
-  shard.lru.push_front(Entry{key, gen, std::move(chains)});
+  shard.lru.push_front(Entry{key, std::move(chains)});
   shard.index[key] = shard.lru.begin();
-}
-
-void ShardedChainCache::Invalidate() {
-  generation_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 size_t ShardedChainCache::size() const {

@@ -1,7 +1,6 @@
 #ifndef CHAINSFORMER_SERVE_CACHE_H_
 #define CHAINSFORMER_SERVE_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <unordered_map>
@@ -25,10 +24,6 @@ namespace serve {
 /// rarely contend. Get() copies the value out under the shard lock
 /// (TreeOfChains is small: top_k chains of <= max_hops hops).
 ///
-/// Invalidation: Invalidate() bumps a global generation counter and lazily
-/// discards entries written under an older generation, so a graph update
-/// can drop the whole cache in O(1) without stalling readers.
-///
 /// Metrics: serve.cache_hits / serve.cache_misses counters on every Get().
 class ShardedChainCache {
  public:
@@ -50,20 +45,12 @@ class ShardedChainCache {
   void Put(kg::EntityId entity, kg::AttributeId attribute,
            core::TreeOfChains chains);
 
-  /// Logically drops every cached entry (generation bump; O(1), lock-free).
-  void Invalidate();
-
-  /// Generation counter; starts at 0 and increments per Invalidate().
-  uint64_t generation() const { return generation_.load(std::memory_order_relaxed); }
-
-  /// Entries currently resident (may include stale-generation entries not
-  /// yet lazily evicted). Intended for tests and stats output.
+  /// Entries currently resident. Intended for tests and stats output.
   size_t size() const;
 
  private:
   struct Entry {
     uint64_t key;
-    uint64_t generation;
     core::TreeOfChains chains;
   };
   struct Shard {
@@ -79,7 +66,6 @@ class ShardedChainCache {
   Shard& ShardFor(uint64_t key);
 
   const size_t per_shard_capacity_;
-  std::atomic<uint64_t> generation_{0};
   std::vector<Shard> shards_;
 };
 

@@ -40,13 +40,13 @@ const std::string kHealthzLine = "{\"cmd\": \"healthz\"}";
 
 // --- HashRing ---------------------------------------------------------------
 
-HashRing::HashRing(int shards, int vnodes)
-    : shards_(shards > 0 ? shards : 1), vnodes_(vnodes > 0 ? vnodes : 1) {
-  points_.reserve(static_cast<size_t>(shards_) * static_cast<size_t>(vnodes_));
+HashRing::HashRing(int shards) : shards_(shards > 0 ? shards : 1) {
+  points_.reserve(static_cast<size_t>(shards_) *
+                  static_cast<size_t>(kVnodesPerShard));
   for (int s = 0; s < shards_; ++s) {
-    for (int v = 0; v < vnodes_; ++v) {
+    for (int v = 0; v < kVnodesPerShard; ++v) {
       // Mix64 of a (shard, replica) pack — deterministic, no strings, and
-      // identical in every process that agrees on (shards, vnodes).
+      // identical in every process that agrees on the shard count.
       const uint64_t point = Mix64((static_cast<uint64_t>(s) << 32) |
                                    static_cast<uint64_t>(v));
       points_.emplace_back(point, s);
@@ -174,19 +174,14 @@ Router::~Router() {
 void Router::MarkFailure(size_t idx) {
   ShardState& st = states_[idx];
   st.total_failures.fetch_add(1, std::memory_order_relaxed);
-  const int consecutive =
-      st.consecutive_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (consecutive >= options_.unhealthy_after &&
-      !st.down.exchange(true, std::memory_order_acq_rel)) {
+  if (!st.down.exchange(true, std::memory_order_acq_rel)) {
     CF_LOG(Warning) << "router: shard " << idx << " (" << shards_[idx]->name()
-                    << ") marked down after " << consecutive
-                    << " consecutive failures";
+                    << ") marked down after a transport failure";
   }
 }
 
 void Router::MarkSuccess(size_t idx) {
   ShardState& st = states_[idx];
-  st.consecutive_failures.store(0, std::memory_order_relaxed);
   if (st.down.exchange(false, std::memory_order_acq_rel)) {
     CF_LOG(Info) << "router: shard " << idx << " (" << shards_[idx]->name()
                  << ") back up";
@@ -282,34 +277,6 @@ std::string Router::HandleLine(const std::string& line) {
   return DegradedResponse(line);
 }
 
-std::vector<std::string> Router::HandleBatch(
-    const std::vector<std::string>& lines) {
-  static auto* fanout = metrics::MetricsRegistry::Global().GetCounter(
-      metrics::names::kRouterFanoutBatches);
-  std::vector<std::string> results(lines.size());
-  // Partition by owning shard, then fan one thread out per owner; each
-  // request still walks the full failover chain on its own if the owner
-  // fails mid-batch.
-  std::vector<std::vector<size_t>> by_owner(shards_.size());
-  for (size_t i = 0; i < lines.size(); ++i) {
-    std::string entity;
-    const int owner = JsonField(lines[i], "entity", &entity)
-                          ? ring_.Owner(entity)
-                          : 0;
-    by_owner[static_cast<size_t>(owner)].push_back(i);
-  }
-  fanout->Increment();
-  std::vector<std::thread> fans;
-  for (const std::vector<size_t>& group : by_owner) {
-    if (group.empty()) continue;
-    fans.emplace_back([this, g = &group, &lines, &results] {
-      for (const size_t i : *g) results[i] = HandleLine(lines[i]);
-    });
-  }
-  for (auto& f : fans) f.join();
-  return results;
-}
-
 void Router::CheckNow() {
   static auto* probes = metrics::MetricsRegistry::Global().GetCounter(
       metrics::names::kRouterHealthProbes);
@@ -344,7 +311,7 @@ std::string Router::StatusJson() const {
       metrics::MetricsRegistry::Global().Snapshot();
   std::ostringstream os;
   os << "{\"role\": \"router\", \"ring\": {\"shards\": " << shards_.size()
-     << ", \"vnodes\": " << ring_.vnodes() << "}, \"shards\": [";
+     << ", \"vnodes\": " << kVnodesPerShard << "}, \"shards\": [";
   for (size_t i = 0; i < shards_.size(); ++i) {
     const ShardState& st = states_[i];
     os << (i == 0 ? "" : ", ") << "{\"index\": " << i << ", \"address\": \""
@@ -358,7 +325,6 @@ std::string Router::StatusJson() const {
   const char* names[] = {
       metrics::names::kRouterRequests,    metrics::names::kRouterRerouted,
       metrics::names::kRouterDegraded,    metrics::names::kRouterShardErrors,
-      metrics::names::kRouterFanoutBatches,
       metrics::names::kRouterHealthProbes};
   bool first = true;
   for (const char* name : names) {

@@ -18,18 +18,18 @@ namespace serve {
 /// Virtual nodes per shard on the consistent-hash ring. One constant shared
 /// by the router and by shard-mode servers (serve.misrouted accounting), so
 /// both sides always agree on who owns an entity.
-inline constexpr int kDefaultVnodes = 64;
+inline constexpr int kVnodesPerShard = 64;
 
-/// Consistent-hash ring over `shards` shards with `vnodes` virtual nodes
-/// each (DESIGN §6i). Entities hash to a point on a 64-bit ring; the owning
-/// shard is the first vnode at or after that point. Adding a shard moves
-/// ~1/(N+1) of the keys (router_test pins this), so growing a fleet mostly
-/// preserves every shard's warm ToC cache — the whole reason the partition
-/// exists. Deterministic across processes: router and shards build
-/// identical rings from (shards, vnodes) alone.
+/// Consistent-hash ring over `shards` shards with kVnodesPerShard virtual
+/// nodes each (DESIGN §6i). Entities hash to a point on a 64-bit ring; the
+/// owning shard is the first vnode at or after that point. Adding a shard
+/// moves ~1/(N+1) of the keys (router_test pins this), so growing a fleet
+/// mostly preserves every shard's warm ToC cache — the whole reason the
+/// partition exists. Deterministic across processes: router and shards
+/// build identical rings from the shard count alone.
 class HashRing {
  public:
-  explicit HashRing(int shards, int vnodes = kDefaultVnodes);
+  explicit HashRing(int shards);
 
   /// Shard owning `key` (an entity name).
   int Owner(const std::string& key) const;
@@ -39,7 +39,6 @@ class HashRing {
   std::vector<int> OwnerChain(const std::string& key) const;
 
   int num_shards() const { return shards_; }
-  int vnodes() const { return vnodes_; }
 
   /// 64-bit ring position of a key (exposed for tests).
   static uint64_t KeyHash(const std::string& key);
@@ -48,7 +47,6 @@ class HashRing {
   size_t FirstPointAtOrAfter(uint64_t hash) const;
 
   int shards_;
-  int vnodes_;
   std::vector<std::pair<uint64_t, int>> points_;  // (ring position, shard)
 };
 
@@ -133,9 +131,6 @@ struct RouterOptions {
   /// the router gives each attempt at most this long before declaring the
   /// shard slow and moving on.
   int forward_timeout_ms = 250;
-  /// Consecutive transport failures before a shard is marked down (health
-  /// probes and successful forwards mark it back up).
-  int unhealthy_after = 1;
   /// Background health-probe cadence; <= 0 disables the probe thread (a
   /// down shard then recovers only via CheckNow or a direct-forward retry).
   int health_period_ms = 250;
@@ -150,16 +145,14 @@ struct RouterOptions {
 /// sharding partitions the *cache working set*, not correctness), the
 /// response gains `"rerouted": true`, and the miss is counted in the
 /// windowed router.rerouted (the SLO block's window_shard_down adds
-/// router.degraded). Only when every shard fails
-/// does the router degrade the request itself: `"source": "shard_down"`,
-/// value 0 — answer-shaped, never a hang, matching the deadline-degradation
-/// contract.
+/// router.degraded). One transport failure marks a shard down; a health
+/// probe or a successful forward marks it back up. Only when every shard
+/// fails does the router degrade the request itself:
+/// `"source": "shard_down"`, value 0 — answer-shaped, never a hang, matching
+/// the deadline-degradation contract.
 ///
-/// HandleBatch fans a batch out to the owning shards concurrently and
-/// merges responses back into request order.
-///
-/// Thread-safety: HandleLine/HandleBatch from any thread; shard health is
-/// atomics plus a background probe thread.
+/// Thread-safety: HandleLine from any thread; shard health is atomics plus
+/// a background probe thread.
 class Router {
  public:
   Router(std::vector<std::unique_ptr<ShardBackend>> shards,
@@ -172,10 +165,6 @@ class Router {
   /// Routes one NDJSON request line and returns the one-line response.
   /// {"cmd": "healthz"} and {"cmd": "statusz"} answer router-side.
   std::string HandleLine(const std::string& line);
-
-  /// Routes a batch concurrently (one fan-out thread per owning shard);
-  /// result[i] answers lines[i].
-  std::vector<std::string> HandleBatch(const std::vector<std::string>& lines);
 
   /// Probes every shard once, synchronously (tests; the background thread
   /// does the same on its cadence).
@@ -195,7 +184,6 @@ class Router {
  private:
   struct ShardState {
     std::atomic<bool> down{false};
-    std::atomic<int> consecutive_failures{0};
     std::atomic<int64_t> total_failures{0};
     std::atomic<int64_t> forwards{0};
   };

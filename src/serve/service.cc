@@ -107,37 +107,39 @@ InferenceService::InferenceService(const core::ChainsFormerModel& model,
         options.compute_threads > 1 ? static_cast<size_t>(options.compute_threads)
                                     : 0);
   }
-  if (options.use_static_graph && graph::StaticGraphRuntime::Supports(model)) {
-    graph::RuntimeOptions ropts;
-    ropts.precision = options.precision;
-    ropts.verify_tolerance = options.verify_tolerance;
-    if (options.precision == graph::Precision::kInt8) {
-      // Hard accuracy gate (DESIGN §6g): int8 serving needs quantized
-      // weights whose recorded calibration error fits the budget. Anything
-      // else falls back to full precision with a named counter — the
-      // operator asked for speed, but never at the price of silently
-      // exceeding the accuracy budget.
-      if (options.quant == nullptr || options.quant->linears.empty()) {
-        quant_rejected_ = true;
-        CF_LOG(Warning) << "serve: int8 requested but the checkpoint has no "
-                        << "quant_int8 block; serving fp64";
-      } else if (options.quant->mae_delta > options.quant_error_budget) {
-        quant_rejected_ = true;
-        CF_LOG(Warning) << "serve: int8 calibration error "
-                        << options.quant->mae_delta << " exceeds the budget "
-                        << options.quant_error_budget << "; serving fp64";
-      } else {
-        ropts.quant = options.quant;
-      }
-      if (quant_rejected_) {
-        metrics::MetricsRegistry::Global()
-            .GetCounter(metrics::names::kServeQuantRejected)
-            ->Increment();
-        ropts.precision = graph::Precision::kFp64;
-      }
+  graph::RuntimeOptions ropts;
+  ropts.precision = options.precision;
+  ropts.verify_tolerance = options.verify_tolerance;
+  if (options.precision == graph::Precision::kInt8) {
+    // Hard accuracy gate (DESIGN §6g): int8 serving needs a compiled encoder
+    // and quantized weights whose recorded calibration error fits the
+    // budget. Anything else falls back to full precision with a named
+    // counter — the operator asked for speed, but never at the price of
+    // silently exceeding the accuracy budget.
+    if (!graph::StaticGraphRuntime::Supports(model)) {
+      quant_rejected_ = true;
+      CF_LOG(Warning) << "serve: int8 requested but the model's encoder does "
+                      << "not compile; serving fp64";
+    } else if (options.quant == nullptr || options.quant->linears.empty()) {
+      quant_rejected_ = true;
+      CF_LOG(Warning) << "serve: int8 requested but the checkpoint has no "
+                      << "quant_int8 block; serving fp64";
+    } else if (options.quant->mae_delta > options.quant_error_budget) {
+      quant_rejected_ = true;
+      CF_LOG(Warning) << "serve: int8 calibration error "
+                      << options.quant->mae_delta << " exceeds the budget "
+                      << options.quant_error_budget << "; serving fp64";
+    } else {
+      ropts.quant = options.quant;
     }
-    runtime_ = std::make_unique<graph::StaticGraphRuntime>(model, ropts);
+    if (quant_rejected_) {
+      metrics::MetricsRegistry::Global()
+          .GetCounter(metrics::names::kServeQuantRejected)
+          ->Increment();
+      ropts.precision = graph::Precision::kFp64;
+    }
   }
+  runtime_ = std::make_unique<graph::StaticGraphRuntime>(model, ropts);
   // Trace-id seam: the salt comes from the model's deterministic RNG seed,
   // so a replayed process assigns the same ids in the same request order.
   trace_salt_ = Rng(static_cast<uint64_t>(model.config().seed)).Next();
@@ -399,29 +401,23 @@ void InferenceService::DispatchLoop() {
     DedupCounter()->Increment(
         static_cast<int64_t>(batch.size() - queries.size()));
     BatchSizeHist()->Observe(static_cast<double>(batch.size()));
-    std::vector<core::BatchPrediction> results;
+    // Per-query runtime calls fanned across the compute pool.
+    // Bitwise-identical to PredictOnChainSets (each compiled bucket is
+    // verified on first use).
+    std::vector<core::BatchPrediction> results(queries.size());
     std::vector<graph::StaticGraphRuntime::PredictStats> run_stats(
         queries.size());
-    if (runtime_ != nullptr) {
-      // Compiled-plan dispatch: per-query static executors, fanned across
-      // the compute pool like the eager pool path. Bitwise-identical to
-      // PredictOnChainSets (each bucket is verified on first use).
-      results.resize(queries.size());
-      auto run_one = [&](size_t qi) {
-        results[qi] =
-            runtime_->Predict(queries[qi], *chain_sets[qi], &run_stats[qi]);
-      };
-      if (compute_pool_ != nullptr && compute_pool_->num_threads() > 1 &&
-          queries.size() > 1) {
-        compute_pool_->ParallelFor(queries.size(), run_one);
-      } else {
-        // One worker (or one query) gains nothing from the pool hop — run
-        // inline on the dispatcher thread and skip the cross-thread wakeup.
-        for (size_t qi = 0; qi < queries.size(); ++qi) run_one(qi);
-      }
+    auto run_one = [&](size_t qi) {
+      results[qi] =
+          runtime_->Predict(queries[qi], *chain_sets[qi], &run_stats[qi]);
+    };
+    if (compute_pool_ != nullptr && compute_pool_->num_threads() > 1 &&
+        queries.size() > 1) {
+      compute_pool_->ParallelFor(queries.size(), run_one);
     } else {
-      results =
-          model_.PredictOnChainSets(queries, chain_sets, compute_pool_.get());
+      // One worker (or one query) gains nothing from the pool hop — run
+      // inline on the dispatcher thread and skip the cross-thread wakeup.
+      for (size_t qi = 0; qi < queries.size(); ++qi) run_one(qi);
     }
     const uint64_t compute_end_ns = trace::NowNs();
     const int64_t compute_us =
@@ -460,7 +456,7 @@ void InferenceService::DispatchLoop() {
                                   : 0;
       p->response.compute_us = compute_us;
       p->response.verify_us = run_stats[slot[i]].verify_us;
-      if (runtime_ != nullptr && r.has_evidence) {
+      if (r.has_evidence) {
         p->response.precision = graph::PrecisionName(runtime_->precision());
       }
       p->done = true;

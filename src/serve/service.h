@@ -43,19 +43,11 @@ struct ServeOptions {
   size_t cache_capacity = 4096;
   size_t cache_shards = 16;
   /// Worker threads the dispatcher fans a micro-batch's per-query forwards
-  /// across (PredictOnChainSets pool path). 1 = fully serial dispatch;
-  /// 0 = one per hardware thread. Batching only beats single-request
-  /// dispatch when this is > 1.
+  /// across. 1 = fully serial dispatch; 0 = one per hardware thread.
+  /// Batching only beats single-request dispatch when this is > 1.
   int compute_threads = 0;
-  /// Answer batches from compiled static plans (graph::StaticGraphRuntime,
-  /// DESIGN §6f) instead of the eager tape. Bitwise-identical results (each
-  /// geometry bucket is verified against an eager forward on first use and
-  /// falls back to eager on any mismatch); per-request dispatch runs
-  /// allocation-free once a bucket is warm. Ignored when the model's
-  /// geometry is unsupported (non-Transformer encoder).
-  bool use_static_graph = true;
   /// Numeric mode of the static-graph Linear steps (DESIGN §6g). kInt8
-  /// requires use_static_graph and `quant`.
+  /// requires `quant` and a model whose encoder compiles.
   graph::Precision precision = graph::Precision::kFp64;
   /// First-use parity tolerance of int8 buckets, forwarded to the runtime
   /// (normalized space, >= 0); fp64 buckets keep the bitwise gate.
@@ -100,7 +92,7 @@ struct ServeResponse {
   /// True when the Tree of Chains came out of the LRU cache.
   bool cache_hit = false;
   /// Numeric mode that computed this value: the runtime's serving
-  /// precision, or "fp64" for eager/degraded answers.
+  /// precision, or "fp64" for degraded answers.
   const char* precision = "fp64";
 
   /// Per-phase breakdown of latency_us. queue/window/compute/verify are 0
@@ -119,7 +111,9 @@ struct ServeResponse {
 /// retrieves the query's Tree of Chains itself (through the sharded LRU
 /// cache, so hot queries skip the random-walk cost), then parks the request
 /// on a queue; a single dispatcher thread groups queued requests into
-/// micro-batches and answers them with one PredictOnChainSets call. Two
+/// micro-batches and answers each unique query through the
+/// graph::StaticGraphRuntime (compiled plans, DESIGN §6f; the runtime
+/// itself falls back to the eager tape where a plan cannot serve). Two
 /// effects make the batch cheaper than dispatching its requests one at a
 /// time (DESIGN §6e): duplicate (entity, attribute) requests are coalesced
 /// into a single forward pass (sound because predictions are
@@ -151,12 +145,8 @@ class InferenceService {
   /// have the service generate one from its deterministic RNG seam.
   ServeResponse Predict(const core::Query& query, uint64_t trace_id = 0);
 
-  /// Drops every cached Tree of Chains (e.g. after a graph update).
-  void InvalidateCache() { cache_.Invalidate(); }
-
-  const ShardedChainCache& cache() const { return cache_; }
   const ServeOptions& options() const { return options_; }
-  /// Compiled-plan runtime, or null when serving eagerly (admin endpoint
+  /// The runtime that answers every batch; never null (the admin endpoint
   /// reads per-bucket plan stats through this).
   const graph::StaticGraphRuntime* static_runtime() const {
     return runtime_.get();
@@ -200,8 +190,7 @@ class InferenceService {
 
   /// Pool for intra-batch parallelism; null when compute_threads == 1.
   std::unique_ptr<ThreadPool> compute_pool_;
-  /// Compiled-plan runtime; null when use_static_graph is off or the model
-  /// is unsupported (the dispatcher then uses the eager tape).
+  /// Answers every unique query of a micro-batch.
   std::unique_ptr<graph::StaticGraphRuntime> runtime_;
   bool quant_rejected_ = false;
 

@@ -94,7 +94,6 @@ inline constexpr char kPlanVerifyMicros[] = "plan.verify_micros";
 
 // --- router (entity-sharded fan-out front-end) -----------------------------
 inline constexpr char kRouterDegraded[] = "router.degraded";
-inline constexpr char kRouterFanoutBatches[] = "router.fanout_batches";
 inline constexpr char kRouterHealthProbes[] = "router.health_probes";
 inline constexpr char kRouterRequests[] = "router.requests";
 inline constexpr char kRouterRerouted[] = "router.rerouted";

@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -53,33 +54,62 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
 
+namespace {
+
+/// Reads the JSON string literal whose opening quote is at `line[*pos]` and
+/// leaves `*pos` just past its closing quote. `\"` and `\\` decode; any
+/// other escape stays as written. False when the literal is unterminated.
+bool ReadJsonString(const std::string& line, size_t* pos, std::string* out) {
+  out->clear();
+  for (size_t i = *pos + 1; i < line.size(); ++i) {
+    if (line[i] == '"') {
+      *pos = i + 1;
+      return true;
+    }
+    if (line[i] == '\\' && i + 1 < line.size()) {
+      const char escaped = line[++i];
+      if (escaped != '"' && escaped != '\\') out->push_back('\\');
+    }
+    out->push_back(line[i]);
+  }
+  return false;
+}
+
+}  // namespace
+
 bool JsonField(const std::string& line, const std::string& key,
                std::string* out) {
-  const std::string needle = "\"" + key + "\"";
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  pos = line.find(':', pos + needle.size());
-  if (pos == std::string::npos) return false;
+  size_t pos = 0;
+  // Skips whitespace, then tests the next character.
+  const auto at = [&line, &pos](char c) {
+    while (pos < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[pos]))) {
+      ++pos;
+    }
+    return pos < line.size() && line[pos] == c;
+  };
+  if (!at('{')) return false;
   ++pos;
-  while (pos < line.size() &&
-         std::isspace(static_cast<unsigned char>(line[pos]))) {
+  std::string name, value;
+  // One member per iteration: "name": value, then ',' or '}'.
+  while (at('"') && ReadJsonString(line, &pos, &name) && at(':')) {
+    ++pos;
+    const bool is_string = at('"');
+    if (is_string) {
+      if (!ReadJsonString(line, &pos, &value)) return false;
+    } else {
+      const size_t start = pos;
+      while (pos < line.size() && line[pos] != ',' && line[pos] != '}') ++pos;
+      value = Strip(line.substr(start, pos - start));
+    }
+    if (name == key) {
+      *out = std::move(value);
+      return is_string || !out->empty();
+    }
+    if (!at(',')) return false;
     ++pos;
   }
-  if (pos >= line.size()) return false;
-  if (line[pos] == '"') {
-    const size_t end = line.find('"', pos + 1);
-    if (end == std::string::npos) return false;
-    *out = line.substr(pos + 1, end - pos - 1);
-    return true;
-  }
-  size_t end = pos;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  *out = line.substr(pos, end - pos);
-  while (!out->empty() &&
-         std::isspace(static_cast<unsigned char>(out->back()))) {
-    out->pop_back();
-  }
-  return !out->empty();
+  return false;
 }
 
 std::string EscapeJson(const std::string& s) {

@@ -25,10 +25,13 @@ bool StartsWith(const std::string& s, const std::string& prefix);
 /// Extracts `"key": <string-or-number>` from a flat one-line JSON object —
 /// the NDJSON request/response grammar shared by the serve tool, the router
 /// and the shard protocol (a full JSON parser would be dead weight for flat
-/// objects). String values come back without their quotes, numbers/booleans
-/// as the raw token. Returns false when the key is absent or the value is
-/// empty. Not a validator: nested objects and escaped quotes inside string
-/// values are out of grammar.
+/// objects). Walks the object's members in order, so a key's name inside
+/// another member's value never matches. String values come back without
+/// their quotes and with `\"` and `\\` decoded (any other escape stays as
+/// written); numbers/booleans as the raw token. Returns false when the key
+/// is absent, a non-string value is empty, or the line stops parsing before
+/// the key. Not a validator: nested objects and arrays are out of grammar,
+/// and whatever follows the key's value is never read.
 bool JsonField(const std::string& line, const std::string& key,
                std::string* out);
 

@@ -1,6 +1,7 @@
 // Tests for src/graph: the eager-forward tracer, compiled-plan parity with
 // the eager tape (the DESIGN §6f bitwise gate), zero-allocation steady-state
-// execution, plan-cache bucketing, and the service's immediate-dispatch fix.
+// execution, plan-cache bucketing, the service's immediate-dispatch fix, and
+// serving a model whose encoder does not compile.
 
 #include <atomic>
 #include <cstdlib>
@@ -13,6 +14,7 @@
 #include "core/chainsformer.h"
 #include "graph/executor.h"
 #include "graph/plan.h"
+#include "graph/quant.h"
 #include "graph/runtime.h"
 #include "graph/trace.h"
 #include "kg/synthetic.h"
@@ -100,8 +102,10 @@ struct Trained {
   ChainsFormerConfig config = SmallConfig();
   std::unique_ptr<ChainsFormerModel> model;
 
-  explicit Trained(bool batched_encoder = true) {
+  explicit Trained(bool batched_encoder = true,
+                   core::EncoderType encoder = core::EncoderType::kTransformer) {
     config.batched_encoder = batched_encoder;
+    config.encoder_type = encoder;
     model = std::make_unique<ChainsFormerModel>(dataset, config);
     model->Train();
   }
@@ -342,33 +346,50 @@ TEST(GraphServiceTest, IdleQueueDispatchesImmediately) {
   EXPECT_GE(CounterValue("serve.immediate_dispatch") - immediate0, 1);
 }
 
-// The service's static-graph path answers bitwise-identically to the eager
-// model, and the escape hatch (use_static_graph = false) still works.
-TEST(GraphServiceTest, StaticGraphServiceMatchesEagerService) {
-  Trained& t = Shared();
-  std::vector<Query> queries = HeldOutQueries(t.dataset, 16);
-  queries.resize(16);
+// A model whose encoder does not compile (the mean-pooling ablation) is
+// still served through the runtime: every answer is the eager tape's, no plan
+// bucket is created, fp64 is reported, and an int8 request is refused by the
+// service's accuracy gate.
+TEST(GraphServiceTest, NonCompilingEncoderServesEagerBits) {
+  Trained t(/*batched_encoder=*/true, core::EncoderType::kMean);
+  ASSERT_FALSE(StaticGraphRuntime::Supports(*t.model));
 
-  serve::ServeOptions on;
-  on.batch_window_us = 0;
-  on.deadline_ms = 0;
-  on.use_static_graph = true;
-  serve::ServeOptions off = on;
-  off.use_static_graph = false;
+  serve::ServeOptions options;
+  options.batch_window_us = 0;
+  options.deadline_ms = 0;
+  serve::InferenceService service(*t.model, options);
+  ASSERT_NE(service.static_runtime(), nullptr);
+  int answered = 0;
+  Query answered_query;
+  for (const Query& q : HeldOutQueries(t.dataset, 16)) {
+    const serve::ServeResponse r = service.Predict(q);
+    if (r.degraded) {
+      EXPECT_EQ(r.source, "empty_toc");
+      continue;
+    }
+    EXPECT_EQ(r.source, "model");
+    EXPECT_EQ(r.value, t.model->Predict(q)) << "query " << answered;
+    EXPECT_STREQ(r.precision, "fp64");
+    if (answered == 0) answered_query = q;
+    if (++answered == 16) break;
+  }
+  EXPECT_EQ(answered, 16);
+  EXPECT_TRUE(service.static_runtime()->Stats().empty());
+  EXPECT_EQ(service.static_runtime()->precision(), Precision::kFp64);
 
-  std::vector<serve::ServeResponse> compiled, eager;
-  {
-    serve::InferenceService service(*t.model, on);
-    for (const Query& q : queries) compiled.push_back(service.Predict(q));
-  }
-  {
-    serve::InferenceService service(*t.model, off);
-    for (const Query& q : queries) eager.push_back(service.Predict(q));
-  }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(compiled[i].value, eager[i].value) << "query " << i;
-    EXPECT_EQ(compiled[i].degraded, eager[i].degraded);
-  }
+  // Quantized weights within budget (borrowed from a compiling model) do not
+  // help: the gate refuses int8 because there is no plan to run them in.
+  serve::ServeOptions int8 = options;
+  int8.precision = Precision::kInt8;
+  int8.quant = std::make_shared<const QuantStore>(BuildQuantStore(*Shared().model));
+  const int64_t rejected0 = CounterValue("serve.quant_rejected");
+  serve::InferenceService gated(*t.model, int8);
+  EXPECT_TRUE(gated.quant_rejected());
+  EXPECT_EQ(CounterValue("serve.quant_rejected") - rejected0, 1);
+  EXPECT_EQ(gated.static_runtime()->precision(), Precision::kFp64);
+  const serve::ServeResponse r = gated.Predict(answered_query);
+  EXPECT_EQ(r.source, "model");
+  EXPECT_STREQ(r.precision, "fp64");
 }
 
 }  // namespace

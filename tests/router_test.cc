@@ -39,7 +39,7 @@ std::vector<std::string> SyntheticKeys(size_t n) {
 
 TEST(HashRingTest, OwnerIsDeterministicAcrossInstances) {
   // Router and shard processes build their rings independently; routing
-  // only works if (shards, vnodes) alone pins every owner.
+  // only works if the shard count alone pins every owner.
   HashRing a(4);
   HashRing b(4);
   for (const std::string& key : SyntheticKeys(500)) {
@@ -222,24 +222,6 @@ TEST(RouterTest, MissingEntityEchoesIdAsValidJson) {
   EXPECT_EQ(f.router->HandleLine("{\"id\": 7, \"attribute\": \"a\"}"),
             "{\"id\": 7, \"error\": \"request needs \\\"entity\\\" for "
             "routing\"}");
-}
-
-TEST(RouterTest, BatchFanOutMergesInRequestOrder) {
-  RouterFixture f(4);
-  std::vector<std::string> lines;
-  for (int i = 0; i < 64; ++i) {
-    lines.push_back(RequestLine(i, "entity_" + std::to_string(i * 31),
-                                9000u + static_cast<uint64_t>(i)));
-  }
-  const std::vector<std::string> responses = f.router->HandleBatch(lines);
-  ASSERT_EQ(responses.size(), lines.size());
-  for (size_t i = 0; i < responses.size(); ++i) {
-    std::string id, trace;
-    ASSERT_TRUE(JsonField(responses[i], "id", &id)) << responses[i];
-    ASSERT_TRUE(JsonField(responses[i], "trace_id", &trace)) << responses[i];
-    EXPECT_EQ(id, std::to_string(i)) << "merge must preserve request order";
-    EXPECT_EQ(trace, std::to_string(9000 + i));
-  }
 }
 
 TEST(RouterTest, KillOneShardUnderLoadNeverDropsARequest) {
@@ -432,6 +414,32 @@ TEST(AsyncServerTest, ShutdownDrainsInFlightRequests) {
   ASSERT_TRUE(client.Recv(&response, 2000))
       << "shutdown dropped an in-flight response";
   EXPECT_NE(response.find("\"done\": true"), std::string::npos) << response;
+}
+
+// The line bound on outside input: a client that sends more than
+// kMaxLineBytes without a newline loses its connection, and the server keeps
+// answering new connections.
+TEST(AsyncServerTest, OverlongLineClosesItsConnection) {
+  AsyncNdjsonServer server(EphemeralOptions(), [](const std::string& line) {
+    return "{\"echo\": \"" + EscapeJson(line) + "\"}";
+  });
+  ASSERT_GT(server.port(), 0);
+  Client flood(server.port());
+  ASSERT_GE(flood.fd, 0);
+  ASSERT_TRUE(
+      flood.SendRaw(std::string(AsyncNdjsonServer::kMaxLineBytes + 1, 'x')));
+  ASSERT_TRUE(net::WaitReadable(flood.fd, 5000))
+      << "the overlong line left its connection open";
+  char byte = 0;
+  EXPECT_LE(net::ReadSome(flood.fd, &byte, 1), 0)
+      << "the server answered an overlong line instead of closing";
+
+  Client next(server.port());
+  ASSERT_GE(next.fd, 0);
+  ASSERT_TRUE(next.Send("{\"n\": 1}"));
+  std::string response;
+  ASSERT_TRUE(next.Recv(&response));
+  EXPECT_NE(response.find("\\\"n\\\": 1"), std::string::npos) << response;
 }
 
 // --- Router over real TCP shards --------------------------------------------

@@ -207,18 +207,6 @@ TEST(ShardedChainCacheTest, EvictsLeastRecentlyUsedPerShard) {
   EXPECT_TRUE(cache.Get(3, 0, &out));
 }
 
-TEST(ShardedChainCacheTest, InvalidateDropsEverything) {
-  ShardedChainCache cache(/*capacity=*/16, /*shards=*/2);
-  cache.Put(1, 0, {});
-  cache.Put(2, 1, {});
-  const uint64_t gen = cache.generation();
-  cache.Invalidate();
-  EXPECT_EQ(cache.generation(), gen + 1);
-  TreeOfChains out;
-  EXPECT_FALSE(cache.Get(1, 0, &out));
-  EXPECT_FALSE(cache.Get(2, 1, &out));
-}
-
 // --- Service -----------------------------------------------------------------
 
 TEST(InferenceServiceTest, AnswersMatchDirectPredictBitwise) {

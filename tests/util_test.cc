@@ -57,6 +57,37 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_FALSE(StartsWith("chain", "chain_former"));
 }
 
+// JsonField walks the object member by member: a key's name sitting in
+// another member's value is not that key.
+TEST(StringUtilTest, JsonFieldMatchesKeysNotValues) {
+  const std::string line =
+      "{\"id\": \"attribute\", \"entity\": \"e1\", \"attribute\": \"birth\"}";
+  std::string value;
+  ASSERT_TRUE(JsonField(line, "attribute", &value));
+  EXPECT_EQ(value, "birth");
+  ASSERT_TRUE(JsonField(line, "id", &value));
+  EXPECT_EQ(value, "attribute");
+  EXPECT_FALSE(JsonField("{\"id\": \"entity\"}", "entity", &value));
+}
+
+// An escaped quote or backslash inside a string value decodes instead of
+// ending the value, and the members after it still parse.
+TEST(StringUtilTest, JsonFieldDecodesEscapedQuotesAndBackslashes) {
+  const std::string line =
+      "{\"id\": \"a\\\"b\", \"entity\": \"c\\\\d\", \"attribute\": \"birth\"}";
+  std::string value;
+  ASSERT_TRUE(JsonField(line, "id", &value));
+  EXPECT_EQ(value, "a\"b");
+  ASSERT_TRUE(JsonField(line, "entity", &value));
+  EXPECT_EQ(value, "c\\d");
+  ASSERT_TRUE(JsonField(line, "attribute", &value));
+  EXPECT_EQ(value, "birth");
+  // What EscapeJson writes, JsonField reads back.
+  const std::string raw = "q\"u\\ote";
+  ASSERT_TRUE(JsonField("{\"k\": \"" + EscapeJson(raw) + "\"}", "k", &value));
+  EXPECT_EQ(value, raw);
+}
+
 // Responses echo a client's id through JsonField + JsonNumberOrString; the
 // line must stay valid JSON whatever the client sent.
 TEST(StringUtilTest, JsonNumberOrStringKeepsNumbers) {

@@ -73,9 +73,6 @@ int Usage() {
       "  --cache-capacity=N   ToC cache entries; 0 disables (default 4096)\n"
       "  --compute-threads=N  dispatcher pool for intra-batch parallelism;\n"
       "                       1 = serial, 0 = hardware threads (default 0)\n"
-      "  --static-graph=B     answer from compiled static plans, bitwise\n"
-      "                       identical to eager (default true; =false for\n"
-      "                       the eager tape; plan.* counters in --stats)\n"
       "  --precision=M        static-graph Linear precision: fp64 (default;\n"
       "                       fp32 accepted as alias) or int8 (needs a\n"
       "                       checkpoint saved with --quantize)\n"
@@ -480,17 +477,14 @@ int Main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("cache-capacity", 4096));
   options.compute_threads =
       static_cast<int>(flags.GetInt("compute-threads", 0));
-  options.use_static_graph = flags.GetBool("static-graph", true);
   options.quant_error_budget =
       flags.GetDouble("quant-error-budget", options.quant_error_budget);
   if (!quant->linears.empty()) options.quant = quant;
   serve::InferenceService service(*model, options);
-  if (service.static_runtime() != nullptr) {
-    std::fprintf(stderr, "static-graph precision: %s%s\n",
-                 graph::PrecisionName(service.static_runtime()->precision()),
-                 service.quant_rejected() ? " (int8 rejected by accuracy gate)"
-                                          : "");
-  }
+  std::fprintf(stderr, "static-graph precision: %s%s\n",
+               graph::PrecisionName(service.static_runtime()->precision()),
+               service.quant_rejected() ? " (int8 rejected by accuracy gate)"
+                                        : "");
 
   const int port = static_cast<int>(flags.GetInt("port", 0));
   const int admin_port = static_cast<int>(flags.GetInt("admin-port", -1));
@@ -505,8 +499,8 @@ int Main(int argc, char** argv) {
   ServeContext ctx{dataset, service,
                    access_log.enabled() ? &access_log : nullptr};
 
-  // Sharded mode: the ring must be built with the same shard count (and
-  // default vnode count) the router uses, or serve.misrouted lights up.
+  // Sharded mode: the ring must be built with the same shard count the
+  // router uses, or serve.misrouted lights up.
   const int shards = static_cast<int>(flags.GetInt("shards", 0));
   const int shard_index = static_cast<int>(flags.GetInt("shard-index", -1));
   std::unique_ptr<serve::HashRing> ring;
