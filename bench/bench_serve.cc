@@ -581,8 +581,9 @@ int Main(int argc, char** argv) {
   auto* dedup_counter =
       metrics::MetricsRegistry::Global().GetCounter("serve.batch_dedup");
   std::vector<Record> records;
-  auto run = [&](const std::string& mode, const std::string& workload, int threads, int64_t window_us,
-                 int max_batch, const std::string& precision = "fp64") {
+  auto run = [&](const std::string& mode, const std::string& workload,
+                 int threads, int64_t window_us, int max_batch,
+                 const std::string& precision = "fp64") {
     serve::ServeOptions so;
     so.batch_window_us = window_us;
     so.max_batch = max_batch;

@@ -103,7 +103,8 @@ struct Trained {
   std::unique_ptr<ChainsFormerModel> model;
 
   explicit Trained(bool batched_encoder = true,
-                   core::EncoderType encoder = core::EncoderType::kTransformer) {
+                   core::EncoderType encoder =
+                       core::EncoderType::kTransformer) {
     config.batched_encoder = batched_encoder;
     config.encoder_type = encoder;
     model = std::make_unique<ChainsFormerModel>(dataset, config);
@@ -381,7 +382,8 @@ TEST(GraphServiceTest, NonCompilingEncoderServesEagerBits) {
   // help: the gate refuses int8 because there is no plan to run them in.
   serve::ServeOptions int8 = options;
   int8.precision = Precision::kInt8;
-  int8.quant = std::make_shared<const QuantStore>(BuildQuantStore(*Shared().model));
+  int8.quant =
+      std::make_shared<const QuantStore>(BuildQuantStore(*Shared().model));
   const int64_t rejected0 = CounterValue("serve.quant_rejected");
   serve::InferenceService gated(*t.model, int8);
   EXPECT_TRUE(gated.quant_rejected());
