@@ -12,7 +12,7 @@
 //              queries, through CalibrateQuantStore (the same measurement
 //              the training tool persists into the checkpoint and the
 //              serve-time budget gate checks). It must land inside
-//              ServeOptions.quant_error_budget (0.05 normalized).
+//              serve::kQuantErrorBudget (0.05 normalized).
 //
 // Usage:
 //   bench_quant [--out=BENCH_quant.json] [--hidden-dim=64] [--epochs=1]
@@ -151,7 +151,7 @@ int Main(int argc, char** argv) {
   graph::CalibrateQuantStore(model, held_out, &store);
 
   // The budget the serving stack enforces: the service's checkpoint gate.
-  const double int8_budget = serve::ServeOptions().quant_error_budget;
+  const double int8_budget = serve::kQuantErrorBudget;
   std::printf("int8 MAE delta %.6f over %lld held-out queries (budget %.3f)\n",
               store.mae_delta,
               static_cast<long long>(store.calibration_queries), int8_budget);

@@ -43,10 +43,7 @@ StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model,
                                        RuntimeOptions options)
     : model_(model),
       compiles_(Supports(model)),
-      options_(std::move(options)),
-      tolerance_(options_.precision == Precision::kInt8
-                     ? options_.verify_tolerance
-                     : 0.0) {
+      options_(std::move(options)) {
   auto& reg = metrics::MetricsRegistry::Global();
   hits_ = reg.GetCounter(metrics::names::kPlanCacheHits);
   misses_ = reg.GetCounter(metrics::names::kPlanCacheMisses);
@@ -58,7 +55,6 @@ StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model,
            (compiles_ && options_.quant != nullptr))
       << "int8 serving requires a compiled encoder and the checkpoint's "
          "quantization store";
-  CF_CHECK_GE(options_.verify_tolerance, 0.0);
 }
 
 bool StaticGraphRuntime::Supports(const core::ChainsFormerModel& model) {
@@ -123,7 +119,7 @@ std::vector<StaticGraphRuntime::BucketStats> StaticGraphRuntime::Stats()
     s.eager_fallback = entry->eager_fallback;
     s.precision = entry->eager_fallback ? PrecisionName(Precision::kFp64)
                                         : PrecisionName(options_.precision);
-    s.verify_tolerance = tolerance_;
+    s.verify_tolerance = verify_tolerance();
     s.idle_executors = static_cast<int64_t>(entry->idle.size());
     if (entry->plan != nullptr) {
       s.arena_bytes =
@@ -245,7 +241,7 @@ core::BatchPrediction StaticGraphRuntime::Predict(
           const double eager_norm =
               model_.train_stats()[static_cast<size_t>(query.attribute)]
                   .Normalize(eager[0].value);
-          pass = std::abs(compiled_norm - eager_norm) <= tolerance_;
+          pass = std::abs(compiled_norm - eager_norm) <= kInt8VerifyTolerance;
           if (pass) {
             serve_result = compiled;
           } else {
@@ -254,7 +250,7 @@ core::BatchPrediction StaticGraphRuntime::Predict(
                 << "static-graph " << PrecisionName(options_.precision)
                 << " parity gate failed for bucket (k=" << k
                 << ", len=" << bucket << "): |" << compiled_norm << " - "
-                << eager_norm << "| > " << tolerance_
+                << eager_norm << "| > " << kInt8VerifyTolerance
                 << " (normalized); serving fp64 eager for this bucket";
           }
         }

@@ -17,14 +17,15 @@
 namespace chainsformer {
 namespace graph {
 
+/// Maximum |normalized compiled - normalized eager| the first-use parity
+/// gate accepts from an int8 bucket. fp64 buckets keep the bitwise gate and
+/// report a tolerance of 0.
+inline constexpr double kInt8VerifyTolerance = 0.05;
+
 /// Construction-time knobs for the runtime's reduced-precision serving
 /// modes (DESIGN §6g).
 struct RuntimeOptions {
   Precision precision = Precision::kFp64;
-  // Maximum |normalized compiled - normalized eager| the first-use parity
-  // gate accepts in kInt8 mode; must be >= 0. Ignored for kFp64, which keeps
-  // the bitwise gate and reports a tolerance of 0.
-  double verify_tolerance = 0.05;
   // Required when precision == kInt8: the checkpoint's quantized weights
   // (rows must match this model's QuantizableLinears walk).
   std::shared_ptr<const QuantStore> quant;
@@ -97,7 +98,9 @@ class StaticGraphRuntime {
   std::vector<BucketStats> Stats() const;
 
   Precision precision() const { return options_.precision; }
-  double verify_tolerance() const { return tolerance_; }
+  double verify_tolerance() const {
+    return options_.precision == Precision::kInt8 ? kInt8VerifyTolerance : 0.0;
+  }
 
  private:
   struct Entry {
@@ -116,7 +119,6 @@ class StaticGraphRuntime {
   const core::ChainsFormerModel& model_;
   const bool compiles_;
   const RuntimeOptions options_;
-  const double tolerance_;
   metrics::Counter* hits_;
   metrics::Counter* misses_;
   metrics::Counter* verify_failures_;

@@ -133,8 +133,7 @@ std::string StatusJson(const InferenceService* service) {
        << "\", \"requested\": \""
        << graph::PrecisionName(service->options().precision)
        << "\", \"verify_tolerance\": " << Num(rt->verify_tolerance())
-       << ", \"quant_error_budget\": "
-       << Num(service->options().quant_error_budget)
+       << ", \"quant_error_budget\": " << Num(kQuantErrorBudget)
        << ", \"quant_rejected\": "
        << (service->quant_rejected() ? "true" : "false") << "}";
     os << ", \"plan_buckets\": [";

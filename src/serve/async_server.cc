@@ -1,6 +1,6 @@
 #include "serve/async_server.h"
 
-#include <chrono>
+#include <future>
 
 #include <sys/epoll.h>
 
@@ -32,17 +32,12 @@ AsyncNdjsonServer::AsyncNdjsonServer(const Options& options, Handler handler)
   // Registered before Run() starts, from the owning thread — the one other
   // moment the EpollLoop ownership model allows.
   loop_.Add(listener_, EPOLLIN, [this](uint32_t) { OnListenerReady(); });
-  const int workers = options_.workers > 0 ? options_.workers : 1;
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerMain(); });
-  }
-  reactor_ = std::thread([this] { ReactorMain(); });
+  pool_ = std::make_unique<ThreadPool>(
+      static_cast<size_t>(options_.workers > 0 ? options_.workers : 1));
+  reactor_ = std::thread([this] { loop_.Run(); });
 }
 
 AsyncNdjsonServer::~AsyncNdjsonServer() { Shutdown(); }
-
-void AsyncNdjsonServer::ReactorMain() { loop_.Run(); }
 
 void AsyncNdjsonServer::OnListenerReady() {
   // Drain the accept queue: one epoll wakeup may carry several pending
@@ -100,7 +95,10 @@ void AsyncNdjsonServer::ReadConn(Conn& c) {
     while ((nl = c.read_buf.find('\n')) != std::string::npos) {
       std::string line = c.read_buf.substr(0, nl);
       c.read_buf.erase(0, nl + 1);
-      if (!line.empty()) c.pending_lines.push_back(std::move(line));
+      // A line read during the drain is dropped, never dispatched.
+      if (!line.empty() && !draining_) {
+        c.pending_lines.push_back(std::move(line));
+      }
     }
     if (c.read_buf.size() > kMaxLineBytes) {
       CF_LOG(Warning) << "async server: dropping connection with "
@@ -120,38 +118,12 @@ void AsyncNdjsonServer::DispatchNext(Conn& c) {
   std::string line = std::move(c.pending_lines.front());
   c.pending_lines.pop_front();
   c.busy = true;
-  {
-    cf::MutexLock lock(work_mu_);
-    work_.emplace_back(c.id, std::move(line));
-  }
-  work_cv_.NotifyOne();
-}
-
-void AsyncNdjsonServer::WorkerMain() {
-  while (true) {
-    uint64_t id;
-    std::string line;
-    {
-      cf::MutexLock lock(work_mu_);
-      work_cv_.Wait(work_mu_, [this]() CF_REQUIRES(work_mu_) {
-        return work_done_ || !work_.empty();
-      });
-      if (work_.empty()) return;  // done and drained
-      id = work_.front().first;
-      line = std::move(work_.front().second);
-      work_.pop_front();
-      ++in_flight_;
-    }
+  pool_->Schedule([this, id = c.id, line = std::move(line)] {
     std::string response = handler_(line);
-    {
-      cf::MutexLock lock(work_mu_);
-      --in_flight_;
-    }
-    work_cv_.NotifyAll();  // Shutdown() waits on in_flight_ == 0
     loop_.Post([this, id, r = std::move(response)]() mutable {
       OnResponse(id, std::move(r));
     });
-  }
+  });
 }
 
 void AsyncNdjsonServer::OnResponse(uint64_t id, std::string response) {
@@ -200,30 +172,25 @@ void AsyncNdjsonServer::CloseConn(uint64_t id) {
 void AsyncNdjsonServer::Shutdown() {
   if (port_ < 0) return;
   if (shut_down_.exchange(true, std::memory_order_acq_rel)) return;
-  // Stop accepting, half-close every connection (no new lines), and let
-  // already-parsed lines finish: in-flight requests complete, tail
-  // responses flush, nothing is dropped mid-answer.
-  loop_.Post([this] {
+  // One reactor step stops accepting and starts the drain: queued lines are
+  // dropped and no line is dispatched from here on, so the pool can be
+  // destroyed once the step has run.
+  std::promise<void> draining;
+  loop_.Post([this, &draining] {
     loop_.Del(listener_);
     net::CloseFd(listener_);
     listener_ = -1;
+    draining_ = true;
     for (auto& [id, conn] : conns_) {
       conn->eof = true;
       conn->pending_lines.clear();
     }
+    draining.set_value();
   });
-  {
-    cf::MutexLock lock(work_mu_);
-    // Bounded drain: every queued/in-flight handler call must finish (the
-    // handler itself deadlines, so 30s only trips on a wedged handler).
-    work_cv_.WaitFor(work_mu_, std::chrono::seconds(30),
-                     [this]() CF_REQUIRES(work_mu_) {
-                       return work_.empty() && in_flight_ == 0;
-                     });
-    work_done_ = true;
-  }
-  work_cv_.NotifyAll();
-  for (auto& w : workers_) w.join();
+  draining.get_future().wait();
+  // ~ThreadPool answers every line already handed over: in-flight requests
+  // complete and their responses are posted to the still-running reactor.
+  pool_.reset();
   // Give the reactor one last round to flush tail responses, then stop.
   loop_.Post([this] {
     for (auto& [id, conn] : conns_) FlushConn(*conn);

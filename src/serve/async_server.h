@@ -9,11 +9,9 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "util/net.h"
-#include "util/sync.h"
+#include "util/thread_pool.h"
 
 namespace chainsformer {
 namespace serve {
@@ -22,10 +20,10 @@ namespace serve {
 ///
 /// One reactor thread owns the nonblocking listener and every connection's
 /// framing state machine (byte buffer → lines in, response bytes out with
-/// EPOLLOUT backpressure); a pool of worker threads runs the blocking line
-/// handler (which may park inside InferenceService::Predict for a full
-/// coalescing window); completed responses are posted back to the reactor,
-/// which writes them without ever blocking. This replaces the
+/// EPOLLOUT backpressure); a ThreadPool (util/thread_pool.h) runs the
+/// blocking line handler (which may park inside InferenceService::Predict
+/// for a full coalescing window); completed responses are posted back to
+/// the reactor, which writes them without ever blocking. This replaces the
 /// thread-per-connection blocking loop the serve tool started with, whose
 /// accept() sat behind in-flight reads — a slow client dribbling a long
 /// request body could delay new connections (the PR 10 blocking-listener
@@ -38,7 +36,7 @@ namespace serve {
 /// pipelining clients; distinct connections proceed fully concurrently.
 ///
 /// Thread-safety: construct/Shutdown/destroy from one owner thread. The
-/// handler runs on worker threads and must be thread-safe (HandleLine is:
+/// handler runs on pool threads and must be thread-safe (HandleLine is:
 /// it only touches the service and atomics).
 class AsyncNdjsonServer {
  public:
@@ -62,9 +60,11 @@ class AsyncNdjsonServer {
   /// Bound port, or -1 when listening failed (the server is then inert).
   int port() const { return port_; }
 
-  /// Graceful stop: closes the listener, half-closes every connection's
-  /// read side, waits (bounded) for in-flight handlers to finish and their
-  /// responses to flush, then joins reactor and workers. Idempotent; the
+  /// Graceful stop: in one reactor step closes the listener and starts the
+  /// drain, after which no line is dispatched (a line read later is
+  /// dropped); then waits for every line already handed to the pool,
+  /// flushes their responses and joins the reactor. The wait is unbounded:
+  /// the handler bounds itself (the service's deadline). Idempotent; the
   /// destructor calls it.
   void Shutdown();
 
@@ -76,7 +76,7 @@ class AsyncNdjsonServer {
  private:
   /// Per-connection framing state machine; lives on the reactor thread
   /// (only the reactor touches it — no lock by the EpollLoop ownership
-  /// model). `id` guards against fd reuse: a worker's response is addressed
+  /// model). `id` guards against fd reuse: a handler's response is addressed
   /// to the id, and a recycled fd under a new connection has a new id.
   struct Conn {
     uint64_t id = 0;
@@ -84,12 +84,11 @@ class AsyncNdjsonServer {
     std::string read_buf;
     std::string write_buf;       // unflushed response bytes
     std::deque<std::string> pending_lines;
-    bool busy = false;           // one line in flight at a worker
+    bool busy = false;           // one line in flight on the pool
     bool eof = false;            // peer half-closed; finish then close
     bool want_write = false;     // EPOLLOUT armed
   };
 
-  void ReactorMain();
   void OnListenerReady();
   void OnConnReady(uint64_t id, uint32_t events);
   void ReadConn(Conn& c);
@@ -97,7 +96,6 @@ class AsyncNdjsonServer {
   void OnResponse(uint64_t id, std::string response);
   void FlushConn(Conn& c);
   void CloseConn(uint64_t id);
-  void WorkerMain();
 
   const Options options_;
   const Handler handler_;
@@ -107,18 +105,16 @@ class AsyncNdjsonServer {
   // Reactor-thread-only (EpollLoop ownership model).
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
   uint64_t next_id_ = 1;
+  bool draining_ = false;  // set by Shutdown's reactor step: dispatch no line
 
   std::atomic<int64_t> conns_accepted_{0};
   std::atomic<bool> shut_down_{false};
 
-  cf::Mutex work_mu_{"serve.async_work"};
-  cf::CondVar work_cv_;
-  std::deque<std::pair<uint64_t, std::string>> work_ CF_GUARDED_BY(work_mu_);
-  bool work_done_ CF_GUARDED_BY(work_mu_) = false;
-  int in_flight_ CF_GUARDED_BY(work_mu_) = 0;
-
+  /// Runs the handler. The reactor schedules on it only before the drain
+  /// step, so Shutdown can destroy it (answering what it holds) while the
+  /// reactor keeps running.
+  std::unique_ptr<ThreadPool> pool_;
   std::thread reactor_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace serve

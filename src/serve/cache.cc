@@ -6,6 +6,7 @@
 #include "util/logging.h"
 #include "util/metric_names.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 namespace chainsformer {
 namespace serve {
@@ -14,15 +15,6 @@ namespace {
 uint64_t CacheKey(kg::EntityId entity, kg::AttributeId attribute) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(entity)) << 32) |
          static_cast<uint32_t>(attribute);
-}
-
-/// splitmix64: decorrelates the (entity << 32 | attribute) key so shard
-/// assignment does not depend on attribute id bits alone.
-uint64_t Mix(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -35,7 +27,8 @@ ShardedChainCache::ShardedChainCache(size_t capacity, size_t shards)
 }
 
 ShardedChainCache::Shard& ShardedChainCache::ShardFor(uint64_t key) {
-  return shards_[Mix(key) % shards_.size()];
+  // Mixed so shard assignment does not depend on attribute id bits alone.
+  return shards_[Mix64(key) % shards_.size()];
 }
 
 bool ShardedChainCache::Get(kg::EntityId entity, kg::AttributeId attribute,

@@ -8,21 +8,13 @@
 #include "util/metric_names.h"
 #include "util/net.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace chainsformer {
 namespace serve {
 
 namespace {
-
-/// SplitMix64 finalizer: turns a weakly-mixed 64-bit value into a
-/// well-distributed ring position (same mixer as the trace-id seam).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// FNV-1a over the key bytes; Mix64 on top fixes FNV's weak high bits.
 uint64_t HashBytes(const std::string& s) {

@@ -73,15 +73,6 @@ const RequestMetrics& Request() {
   return *m;
 }
 
-/// SplitMix64 finalizer: bijective on 64-bit values, so distinct sequence
-/// numbers can never collide, yet ids look nothing like a counter.
-uint64_t MixTraceId(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 InferenceService::InferenceService(const core::ChainsFormerModel& model,
@@ -109,7 +100,6 @@ InferenceService::InferenceService(const core::ChainsFormerModel& model,
   }
   graph::RuntimeOptions ropts;
   ropts.precision = options.precision;
-  ropts.verify_tolerance = options.verify_tolerance;
   if (options.precision == graph::Precision::kInt8) {
     // Hard accuracy gate (DESIGN §6g): int8 serving needs a compiled encoder
     // and quantized weights whose recorded calibration error fits the
@@ -124,11 +114,11 @@ InferenceService::InferenceService(const core::ChainsFormerModel& model,
       quant_rejected_ = true;
       CF_LOG(Warning) << "serve: int8 requested but the checkpoint has no "
                       << "quant_int8 block; serving fp64";
-    } else if (options.quant->mae_delta > options.quant_error_budget) {
+    } else if (options.quant->mae_delta > kQuantErrorBudget) {
       quant_rejected_ = true;
       CF_LOG(Warning) << "serve: int8 calibration error "
                       << options.quant->mae_delta << " exceeds the budget "
-                      << options.quant_error_budget << "; serving fp64";
+                      << kQuantErrorBudget << "; serving fp64";
     } else {
       ropts.quant = options.quant;
     }
@@ -180,10 +170,10 @@ ServeResponse InferenceService::Predict(const core::Query& query,
       start + std::chrono::milliseconds(has_deadline ? options_.deadline_ms : 0);
   if (trace_id == 0) {
     // Salt ^ sequence through a bijective mixer: deterministic per process
-    // (RNG seam), unique per request. MixTraceId never maps two inputs to
-    // the same output, so forcing the rare zero to 1 is the only collision
+    // (RNG seam), unique per request. Mix64 never maps two inputs to the
+    // same output, so forcing the rare zero to 1 is the only collision
     // risk — and 1 is itself the image of exactly one other input.
-    trace_id = MixTraceId(trace_salt_ ^ trace_seq_.fetch_add(1, std::memory_order_relaxed));
+    trace_id = Mix64(trace_salt_ ^ trace_seq_.fetch_add(1, std::memory_order_relaxed));
     if (trace_id == 0) trace_id = 1;
   }
   // Visible to the dispatcher from here until the request joins the queue

@@ -24,6 +24,13 @@ class StaticGraphRuntime;
 namespace chainsformer {
 namespace serve {
 
+/// Accuracy gate for int8 serving: when the checkpoint's recorded
+/// calibration error (QuantStore::mae_delta, normalized space) exceeds this
+/// budget — or no quantized weights were loaded at all — the service
+/// refuses int8, increments serve.quant_rejected, and serves fp64 instead.
+/// Speed never silently buys wrong answers.
+inline constexpr double kQuantErrorBudget = 0.05;
+
 /// Tuning knobs of InferenceService. Defaults favor latency; raise
 /// batch_window_us under throughput-oriented load (bench/bench_serve sweeps
 /// the trade-off).
@@ -47,17 +54,9 @@ struct ServeOptions {
   /// Batching only beats single-request dispatch when this is > 1.
   int compute_threads = 0;
   /// Numeric mode of the static-graph Linear steps (DESIGN §6g). kInt8
-  /// requires `quant` and a model whose encoder compiles.
+  /// requires `quant` and a model whose encoder compiles, and is refused
+  /// over kQuantErrorBudget.
   graph::Precision precision = graph::Precision::kFp64;
-  /// First-use parity tolerance of int8 buckets, forwarded to the runtime
-  /// (normalized space, >= 0); fp64 buckets keep the bitwise gate.
-  double verify_tolerance = 0.05;
-  /// Accuracy gate for int8 serving: when the checkpoint's recorded
-  /// calibration error (quant->mae_delta, normalized space) exceeds this
-  /// budget — or no quantized weights were loaded at all — the service
-  /// refuses int8, increments serve.quant_rejected, and serves fp64
-  /// instead. Speed never silently buys wrong answers.
-  double quant_error_budget = 0.05;
   /// Quantized weights from the checkpoint's "quant_int8" block (null when
   /// the checkpoint has none).
   std::shared_ptr<const graph::QuantStore> quant;
@@ -152,7 +151,7 @@ class InferenceService {
     return runtime_.get();
   }
   /// True when int8 was requested but the accuracy gate refused it (no
-  /// quantized weights, or calibration error over quant_error_budget).
+  /// quantized weights, or calibration error over kQuantErrorBudget).
   bool quant_rejected() const { return quant_rejected_; }
 
   /// Requests queued for the dispatcher and not yet collected into a batch.

@@ -7,20 +7,16 @@
 namespace chainsformer {
 namespace {
 
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(sm);
+  // The first four outputs of a SplitMix64 generator seeded with `seed`.
+  for (auto& s : s_) {
+    s = Mix64(seed);
+    seed += 0x9E3779B97F4A7C15ull;
+  }
 }
 
 uint64_t Rng::Next() {

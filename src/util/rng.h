@@ -8,6 +8,17 @@
 
 namespace chainsformer {
 
+/// SplitMix64's step-and-finalize: the first value a SplitMix64 generator
+/// seeded with `x` returns. A bijection on 64-bit values, so distinct inputs
+/// never collide, yet the outputs look nothing like the inputs (trace ids
+/// from a counter, cache shards and ring positions from weak keys).
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic 64-bit PRNG (xoshiro256**) seeded via SplitMix64.
 ///
 /// All stochastic components in the library take an explicit seed (directly

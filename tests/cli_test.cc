@@ -213,6 +213,48 @@ TEST(CliTest, ServeStdinAnswersEveryRequestLineWithOneJsonLine) {
   }
 }
 
+// The router role ends in the same serve path as the model roles: it answers
+// stdin without --port and writes --metrics-json on exit. Port 1 refuses
+// every connection, so both queries degrade answer-shaped.
+TEST(CliTest, RouterAnswersStdinAndWritesMetrics) {
+  if (!std::ifstream(ServePath()).good()) GTEST_SKIP() << "serve binary not found";
+  const std::string requests = "/tmp/cf_cli_requests5.ndjson";
+  const std::string metrics_path = "/tmp/cf_cli_router_metrics5.json";
+  {
+    std::ofstream out(requests);
+    out << "{\"id\": 1, \"entity\": \"e1\", \"attribute\": \"a\"}\n"
+        << "{\"id\": 2, \"entity\": \"e2\", \"attribute\": \"a\"}\n"
+        << "{\"cmd\": \"healthz\"}\n";
+  }
+  // stdout only; `timeout` ends a router that waits for a port instead.
+  const std::string out =
+      RunCommand("(timeout 60 " + ServePath() +
+                 " --router=127.0.0.1:1 --metrics-json=" + metrics_path +
+                 " < " + requests + " 2>/dev/null)");
+  const std::vector<std::string> lines = Lines(out);
+  ASSERT_EQ(lines.size(), 3u) << out;
+  int shard_down = 0;
+  for (const std::string& line : lines) {
+    EXPECT_TRUE(test_json::IsValidJson(line)) << line;
+    if (line.find("\"source\": \"shard_down\"") != std::string::npos) {
+      ++shard_down;
+    }
+  }
+  EXPECT_EQ(shard_down, 2) << out;
+
+  std::stringstream metrics_json;
+  metrics_json << std::ifstream(metrics_path).rdbuf();
+  double v = 0.0;
+  ASSERT_TRUE(test_json::FindNumberAfterKey(metrics_json.str(), "router.requests", &v))
+      << "metrics JSON missing or incomplete: " << metrics_json.str();
+  EXPECT_EQ(v, 3.0);
+  ASSERT_TRUE(test_json::FindNumberAfterKey(metrics_json.str(), "router.degraded", &v))
+      << metrics_json.str();
+  EXPECT_EQ(v, 2.0);
+  std::remove(requests.c_str());
+  std::remove(metrics_path.c_str());
+}
+
 TEST(CliTest, UsageOnUnknownCommand) {
   if (!CliAvailable()) GTEST_SKIP() << "CLI binary not found";
   const std::string out = RunCommand(CliPath() + " frobnicate");

@@ -127,6 +127,15 @@ TEST(RngTest, ForkIndependentOfParentContinuation) {
   EXPECT_LT(same, 2);
 }
 
+// Mix64 is SplitMix64's first output for a seed; these are the reference
+// generator's values. Rng seeding, trace ids, cache shards and ring
+// positions all hang on these bits.
+TEST(RngTest, Mix64MatchesSplitMix64Reference) {
+  EXPECT_EQ(Mix64(0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(Mix64(1), 0x910a2dec89025cc1ull);
+  EXPECT_EQ(Mix64(~0ull), 0xe4d971771b652c20ull);
+}
+
 class RngSeedSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RngSeedSweep, UniformStaysInRangeForAnySeed) {

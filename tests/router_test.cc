@@ -416,6 +416,45 @@ TEST(AsyncServerTest, ShutdownDrainsInFlightRequests) {
   EXPECT_NE(response.find("\"done\": true"), std::string::npos) << response;
 }
 
+// Shutdown closes the listener and stops dispatching in one reactor step: a
+// line that arrives after it, on a connection whose first line is still in
+// the handler, is dropped, and the first answer still flushes.
+TEST(AsyncServerTest, LinesArrivingDuringShutdownAreNotDispatched) {
+  std::atomic<int> calls{0};
+  std::promise<void> started;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  AsyncNdjsonServer server(EphemeralOptions(), [&](const std::string& line) {
+    if (calls.fetch_add(1, std::memory_order_relaxed) == 0) {
+      started.set_value();
+      released.wait();
+    }
+    return "{\"echo\": \"" + EscapeJson(line) + "\"}";
+  });
+  const int port = server.port();
+  ASSERT_GT(port, 0);
+  Client client(port);
+  ASSERT_GE(client.fd, 0);
+  ASSERT_TRUE(client.Send("{\"n\": 1}"));
+  started.get_future().wait();  // the first line is inside the handler
+  std::thread shutdown([&server] { server.Shutdown(); });
+  // A refused connect means the drain step has run: it closes the listener.
+  for (int fd; (fd = net::ConnectTcp("127.0.0.1", port, 2000)) >= 0;) {
+    net::CloseFd(fd);
+  }
+  const bool sent = client.Send("{\"n\": 2}");
+  release.set_value();
+  shutdown.join();
+  ASSERT_TRUE(sent);
+  std::string response;
+  ASSERT_TRUE(client.Recv(&response, 2000))
+      << "shutdown dropped the in-flight response";
+  EXPECT_NE(response.find("\\\"n\\\": 1"), std::string::npos) << response;
+  EXPECT_FALSE(client.Recv(&response, 2000))
+      << "answered a line read during the drain: " << response;
+  EXPECT_EQ(calls.load(std::memory_order_relaxed), 1);
+}
+
 // The line bound on outside input: a client that sends more than
 // kMaxLineBytes without a newline loses its connection, and the server keeps
 // answering new connections.

@@ -156,8 +156,7 @@ int RunTrain(const FlagParser& flags) {
     if (flags.GetBool("quantize", false)) {
       // Quantize the frozen weights and measure the int8 serving drift on
       // held-out validation queries, so the checkpoint carries the evidence
-      // the serve-time accuracy gate (ServeOptions::quant_error_budget)
-      // checks.
+      // the serve-time accuracy gate (serve::kQuantErrorBudget) checks.
       store = graph::BuildQuantStore(model);
       const int64_t want = flags.GetInt("calibration-queries", 200);
       std::vector<core::Query> calib;

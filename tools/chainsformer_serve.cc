@@ -76,17 +76,11 @@ int Usage() {
       "  --precision=M        static-graph Linear precision: fp64 (default;\n"
       "                       fp32 accepted as alias) or int8 (needs a\n"
       "                       checkpoint saved with --quantize)\n"
-      "  --quant-error-budget=X  max recorded int8 calibration error\n"
-      "                       (normalized MAE vs fp64) the server accepts;\n"
-      "                       over budget falls back to fp64 and increments\n"
-      "                       serve.quant_rejected (default 0.05)\n"
-      "  --verify-tolerance=X first-use parity tolerance of int8 buckets\n"
-      "                       (normalized, >= 0; default 0.05)\n"
       "  --port=N             serve NDJSON over TCP instead of stdin\n"
       "  --shards=N           entity-sharded mode: total shard count\n"
       "  --shard-index=I      ... and this process's slice [0, N)\n"
       "  --router=H:P,H:P,... run as a fan-out router over the listed shard\n"
-      "                       servers (no checkpoint loaded); needs --port\n"
+      "                       servers (no checkpoint loaded)\n"
       "  --forward-timeout-ms=N  router per-shard attempt budget (default 250)\n"
       "  --health-period-ms=N router shard-probe cadence; 0 off (default 250)\n"
       "  --kernel-threads=N   dense kernel workers (default 1)\n"
@@ -166,7 +160,7 @@ class AccessLogger {
   cf::Mutex mu_{"tools.request_log"};
 };
 
-/// Everything a request handler needs, threaded through both serve modes.
+/// Everything the model roles' request handler needs.
 struct ServeContext {
   const kg::Dataset& dataset;
   serve::InferenceService& service;
@@ -275,15 +269,16 @@ std::string HandleLine(const ServeContext& ctx, const std::string& line) {
 
 // --- stdin mode ------------------------------------------------------------
 
-int ServeStdin(const ServeContext& ctx, int serve_threads) {
+int ServeStdin(const serve::AsyncNdjsonServer::Handler& handler,
+               int serve_threads) {
   cf::Mutex out_mu{"tools.stdout"};
   {
     ThreadPool workers(static_cast<size_t>(serve_threads));
     std::string line;
     while (std::getline(std::cin, line)) {
       if (line.empty()) continue;
-      workers.Schedule([&ctx, &out_mu, line = std::move(line)] {
-        const std::string response = HandleLine(ctx, line);
+      workers.Schedule([&handler, &out_mu, line = std::move(line)] {
+        const std::string response = handler(line);
         cf::MutexLock lock(out_mu);
         std::printf("%s\n", response.c_str());
       });
@@ -299,7 +294,7 @@ int ServeStdin(const ServeContext& ctx, int serve_threads) {
 /// byte to a pipe (net::SignalSafeWriteByte, the only async-signal-safe
 /// step needed); the main thread wakes from net::WaitReadable, shuts the
 /// async server down (in-flight requests finish, tail responses flush), and
-/// Main's normal exit path flushes --metrics-json/--trace-json — telemetry
+/// Serve's normal exit path flushes --metrics-json/--trace-json — telemetry
 /// from a killed server is not lost.
 volatile std::sig_atomic_t g_stop = 0;
 std::atomic<int> g_stop_pipe{-1};
@@ -310,11 +305,8 @@ void HandleStopSignal(int) {
   if (fd >= 0) net::SignalSafeWriteByte(fd);
 }
 
-/// Serves `handler` over the epoll front-end until SIGINT/SIGTERM. The
-/// reactor accepts while every other connection is mid-read — the old
-/// thread-per-connection loop could not (its accept() queued behind a slow
-/// client dribbling a request body; router_test pins the interleaving
-/// regression). Intentionally minimal (no TLS, IPv4 loopback only): a
+/// Serves `handler` over the epoll front-end (DESIGN §6i) until SIGINT/
+/// SIGTERM. Intentionally minimal (no TLS, IPv4 loopback only): a
 /// benchmark/demo endpoint, not an internet-facing daemon.
 int RunTcp(int port, int workers, const char* role,
            serve::AsyncNdjsonServer::Handler handler) {
@@ -349,19 +341,54 @@ int RunTcp(int port, int workers, const char* role,
   return 0;
 }
 
+// --- Shared by every role ---------------------------------------------------
+
+/// Answers `handler` over TCP (--port) or else stdin, behind the optional
+/// admin endpoint, then writes the --metrics-json / --stats / --trace-json
+/// exports. `service` is null in the router role, whose /statusz then
+/// reports the router process's counters and window only.
+int Serve(const FlagParser& flags, int serve_threads, const char* role,
+          const serve::InferenceService* service,
+          serve::AsyncNdjsonServer::Handler handler) {
+  const int port = static_cast<int>(flags.GetInt("port", 0));
+  const int admin_port = static_cast<int>(flags.GetInt("admin-port", -1));
+  const std::string metrics_json = flags.GetString("metrics-json");
+  const std::string trace_json = flags.GetString("trace-json");
+  const bool print_stats = flags.GetBool("stats", false);
+
+  // Admin endpoint (--admin-port=0 binds an ephemeral port and prints it).
+  std::unique_ptr<serve::AdminServer> admin;
+  if (admin_port >= 0) {
+    admin = std::make_unique<serve::AdminServer>(admin_port, service);
+    if (admin->port() < 0) return 1;
+    std::fprintf(stderr, "admin endpoint on 127.0.0.1:%d\n", admin->port());
+  }
+  for (const std::string& key : flags.UnreadKeys()) {
+    std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
+  }
+
+  const int rc = port > 0
+                     ? RunTcp(port, serve_threads, role, std::move(handler))
+                     : ServeStdin(handler, serve_threads);
+
+  if (!metrics_json.empty() || print_stats) {
+    const metrics::MetricsSnapshot snap =
+        metrics::MetricsRegistry::Global().Snapshot();
+    if (!metrics_json.empty()) metrics::WriteJsonFile(metrics_json, snap);
+    if (print_stats) std::fprintf(stderr, "%s", metrics::SummaryTable(snap).c_str());
+  }
+  if (!trace_json.empty()) trace::WriteChromeTrace(trace_json);
+  return rc;
+}
+
 // --- Router mode -----------------------------------------------------------
 
 /// `--router=H:P,H:P,...`: pure fan-out front-end — no checkpoint, no
 /// dataset. Each request line forwards to the shard owning its entity on
 /// the consistent-hash ring; down shards reroute (tagged) or, with the
 /// whole fleet gone, degrade answer-shaped (see serve/router.h).
-int RouterMain(FlagParser& flags, const std::string& spec,
+int RouterMain(const FlagParser& flags, const std::string& spec,
                int serve_threads) {
-  const int port = static_cast<int>(flags.GetInt("port", 0));
-  if (port <= 0) {
-    std::fprintf(stderr, "--router needs --port\n");
-    return Usage();
-  }
   serve::RouterOptions options;
   options.forward_timeout_ms =
       static_cast<int>(flags.GetInt("forward-timeout-ms", 250));
@@ -383,38 +410,12 @@ int RouterMain(FlagParser& flags, const std::string& spec,
     backends.push_back(std::make_unique<serve::TcpShardBackend>(
         addr.substr(0, colon), shard_port));
   }
-  const std::string metrics_json = flags.GetString("metrics-json");
-  const bool print_stats = flags.GetBool("stats", false);
-  const int admin_port = static_cast<int>(flags.GetInt("admin-port", -1));
-
   serve::Router router(std::move(backends), options);
   router.CheckNow();  // mark dead shards down before the first request
-  std::unique_ptr<serve::AdminServer> admin;
-  if (admin_port >= 0) {
-    // No service behind a router: /statusz still reports the router
-    // process's counters and window; {"cmd": "statusz"} on the main port
-    // adds the per-shard health table.
-    admin = std::make_unique<serve::AdminServer>(admin_port, nullptr);
-    if (admin->port() < 0) return 1;
-    std::fprintf(stderr, "admin endpoint on 127.0.0.1:%d\n", admin->port());
-  }
-  for (const std::string& key : flags.UnreadKeys()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
-  }
-  const int rc =
-      RunTcp(port, serve_threads, "routing",
-             [&router](const std::string& line) {
-               return router.HandleLine(line);
-             });
-  if (!metrics_json.empty() || print_stats) {
-    const metrics::MetricsSnapshot snap =
-        metrics::MetricsRegistry::Global().Snapshot();
-    if (!metrics_json.empty()) metrics::WriteJsonFile(metrics_json, snap);
-    if (print_stats) {
-      std::fprintf(stderr, "%s", metrics::SummaryTable(snap).c_str());
-    }
-  }
-  return rc;
+  return Serve(flags, serve_threads, "routing", nullptr,
+               [&router](const std::string& line) {
+                 return router.HandleLine(line);
+               });
 }
 
 int Main(int argc, char** argv) {
@@ -426,6 +427,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "--serve-threads must be >= 1\n");
     return Usage();
   }
+  if (!flags.GetString("trace-json").empty()) trace::SetEnabled(true);
   const std::string router_spec = flags.GetString("router");
   if (!router_spec.empty()) return RouterMain(flags, router_spec, serve_threads);
   const std::string checkpoint = flags.GetString("checkpoint");
@@ -440,17 +442,6 @@ int Main(int argc, char** argv) {
                  precision_flag.c_str());
     return Usage();
   }
-  options.verify_tolerance =
-      flags.GetDouble("verify-tolerance", options.verify_tolerance);
-  if (!(options.verify_tolerance >= 0.0)) {  // also rejects nan
-    std::fprintf(stderr, "--verify-tolerance must be >= 0\n");
-    return Usage();
-  }
-
-  const std::string metrics_json = flags.GetString("metrics-json");
-  const std::string trace_json = flags.GetString("trace-json");
-  const bool print_stats = flags.GetBool("stats", false);
-  if (!trace_json.empty()) trace::SetEnabled(true);
   tensor::SetCheckMode(tensor::CheckModeFromString(flags.GetString(
       "check-mode", tensor::CheckModeName(tensor::CheckModeFromEnv()))));
 
@@ -477,8 +468,6 @@ int Main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("cache-capacity", 4096));
   options.compute_threads =
       static_cast<int>(flags.GetInt("compute-threads", 0));
-  options.quant_error_budget =
-      flags.GetDouble("quant-error-budget", options.quant_error_budget);
   if (!quant->linears.empty()) options.quant = quant;
   serve::InferenceService service(*model, options);
   std::fprintf(stderr, "static-graph precision: %s%s\n",
@@ -486,11 +475,8 @@ int Main(int argc, char** argv) {
                service.quant_rejected() ? " (int8 rejected by accuracy gate)"
                                         : "");
 
-  const int port = static_cast<int>(flags.GetInt("port", 0));
-  const int admin_port = static_cast<int>(flags.GetInt("admin-port", -1));
   const std::string access_log_path = flags.GetString("access-log");
   const int64_t access_log_every = flags.GetInt("access-log-every", 1);
-
   AccessLogger access_log;
   if (!access_log_path.empty() &&
       !access_log.Open(access_log_path, access_log_every)) {
@@ -515,33 +501,8 @@ int Main(int argc, char** argv) {
     ctx.shard_index = shard_index;
   }
 
-  // Admin endpoint (--admin-port=0 binds an ephemeral port and prints it).
-  std::unique_ptr<serve::AdminServer> admin;
-  if (admin_port >= 0) {
-    admin = std::make_unique<serve::AdminServer>(admin_port, &service);
-    if (admin->port() < 0) return 1;
-    std::fprintf(stderr, "admin endpoint on 127.0.0.1:%d\n", admin->port());
-  }
-
-  for (const std::string& key : flags.UnreadKeys()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
-  }
-
-  const int rc =
-      port > 0 ? RunTcp(port, serve_threads, "serving",
-                        [&ctx](const std::string& line) {
-                          return HandleLine(ctx, line);
-                        })
-               : ServeStdin(ctx, serve_threads);
-
-  if (!metrics_json.empty() || print_stats) {
-    const metrics::MetricsSnapshot snap =
-        metrics::MetricsRegistry::Global().Snapshot();
-    if (!metrics_json.empty()) metrics::WriteJsonFile(metrics_json, snap);
-    if (print_stats) std::fprintf(stderr, "%s", metrics::SummaryTable(snap).c_str());
-  }
-  if (!trace_json.empty()) trace::WriteChromeTrace(trace_json);
-  return rc;
+  return Serve(flags, serve_threads, "serving", &service,
+               [&ctx](const std::string& line) { return HandleLine(ctx, line); });
 }
 
 }  // namespace
