@@ -226,7 +226,7 @@ TEST(CliTest, RouterAnswersStdinAndWritesMetrics) {
         << "{\"id\": 2, \"entity\": \"e2\", \"attribute\": \"a\"}\n"
         << "{\"cmd\": \"healthz\"}\n";
   }
-  // stdout only; `timeout` ends a router that waits for a port instead.
+  // stdout only; `timeout` ends a router that outlives its stdin.
   const std::string out =
       RunCommand("(timeout 60 " + ServePath() +
                  " --router=127.0.0.1:1 --metrics-json=" + metrics_path +
