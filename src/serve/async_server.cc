@@ -175,8 +175,8 @@ void AsyncNdjsonServer::Shutdown() {
   // One reactor step stops accepting and starts the drain: queued lines are
   // dropped and no line is dispatched from here on, so the pool can be
   // destroyed once the step has run.
-  std::promise<void> draining;
-  loop_.Post([this, &draining] {
+  std::promise<void> drain_started;
+  loop_.Post([this, &drain_started] {
     loop_.Del(listener_);
     net::CloseFd(listener_);
     listener_ = -1;
@@ -185,9 +185,9 @@ void AsyncNdjsonServer::Shutdown() {
       conn->eof = true;
       conn->pending_lines.clear();
     }
-    draining.set_value();
+    drain_started.set_value();
   });
-  draining.get_future().wait();
+  drain_started.get_future().wait();
   // ~ThreadPool answers every line already handed over: in-flight requests
   // complete and their responses are posted to the still-running reactor.
   pool_.reset();
