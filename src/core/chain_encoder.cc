@@ -193,12 +193,27 @@ Tensor ChainEncoder::EncodeBatch(const TreeOfChains& chains) const {
   static auto* stage_calls = reg.GetCounter(metrics::names::kPipelineEncodeCalls);
   static auto* chains_encoded = reg.GetCounter(metrics::names::kEncodeChainsEncoded);
   static auto* batched_passes = reg.GetCounter(metrics::names::kEncodeBatchedPasses);
-  static auto* chain_length = reg.GetHistogram(metrics::names::kEncodeChainLength);
-  static auto* pad_waste = reg.GetHistogram(metrics::names::kEncodeBatchPadFractionPct);
   CF_TRACE_SCOPE("encode");
   metrics::ScopedTimer timer(stage_micros, stage_calls);
   batched_passes->Increment();
   chains_encoded->Increment(k);
+
+  Tensor e_c = EndTokenRows(chains);
+  if (!use_numerical_aware_) return e_c;
+  std::vector<double> values;
+  values.reserve(chains.size());
+  for (const RAChain& c : chains) values.push_back(c.source_value);
+  return AffineTransfer(e_c, values);
+}
+
+Tensor ChainEncoder::EndTokenRows(const TreeOfChains& chains) const {
+  const int64_t k = static_cast<int64_t>(chains.size());
+  CF_CHECK_GT(k, 0);
+  CF_CHECK(encoder_type_ == EncoderType::kTransformer)
+      << "end-token rows exist only for the Transformer encoder";
+  static auto& reg = metrics::MetricsRegistry::Global();
+  static auto* chain_length = reg.GetHistogram(metrics::names::kEncodeChainLength);
+  static auto* pad_waste = reg.GetHistogram(metrics::names::kEncodeBatchPadFractionPct);
 
   // Tokenize every chain and pad to the longest sequence.
   std::vector<std::vector<int64_t>> tokens(chains.size());
@@ -244,13 +259,7 @@ Tensor ChainEncoder::EncodeBatch(const TreeOfChains& chains) const {
     end_rows[static_cast<size_t>(i)] =
         i * max_len + static_cast<int64_t>(tokens[static_cast<size_t>(i)].size()) - 1;
   }
-  Tensor e_c =
-      ops::Gather(ops::Reshape(encoded, {k * max_len, dim_}), end_rows);
-  if (!use_numerical_aware_) return e_c;
-  std::vector<double> values;
-  values.reserve(chains.size());
-  for (const RAChain& c : chains) values.push_back(c.source_value);
-  return AffineTransfer(e_c, values);
+  return ops::Gather(ops::Reshape(encoded, {k * max_len, dim_}), end_rows);
 }
 
 }  // namespace core

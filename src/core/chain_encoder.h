@@ -61,6 +61,15 @@ class ChainEncoder : public tensor::nn::Module {
   /// Requires a non-empty chain set.
   tensor::Tensor EncodeBatch(const TreeOfChains& chains) const;
 
+  /// The Transformer half of EncodeBatch, which calls it: the end-token
+  /// rows e_c [k, hidden_dim] of the padded, masked pass, before the
+  /// Numerical-Aware Affine Transfer. Row i depends only on chains[i]'s
+  /// pattern (a_p, relations, a_q), never on its value or on the other
+  /// chains (DESIGN §6c, §6f); the static-graph encoder program is gated
+  /// against it bitwise. Requires the Transformer encoder type and a
+  /// non-empty chain set.
+  tensor::Tensor EndTokenRows(const TreeOfChains& chains) const;
+
   int64_t hidden_dim() const { return dim_; }
 
   /// Token id of a relation / attribute / the end token in the joint

@@ -15,16 +15,21 @@ namespace kernels = tensor::kernels;
 PlanExecutor::PlanExecutor(std::shared_ptr<const Plan> plan)
     : plan_(std::move(plan)) {
   CF_CHECK(plan_ != nullptr);
-  arena_.resize(static_cast<size_t>(plan_->arena_floats), 0.0f);
-  tokens_.resize(static_cast<size_t>(plan_->k * plan_->max_len), 0);
-  positions_.resize(static_cast<size_t>(plan_->k * plan_->max_len), 0);
-  end_rows_.resize(static_cast<size_t>(plan_->k), 0);
-  lengths_.resize(static_cast<size_t>(plan_->k), 0);
-  if (plan_->quant_rows > 0) {
-    qa_.resize(static_cast<size_t>(plan_->quant_qa_elems), 0);
-    qacc_.resize(static_cast<size_t>(plan_->quant_acc_elems), 0);
-    qrow_scale_.resize(static_cast<size_t>(plan_->quant_rows), 0.0f);
-    qrow_min_.resize(static_cast<size_t>(plan_->quant_rows), 0.0f);
+  const Plan& p = *plan_;
+  arena_.resize(static_cast<size_t>(p.arena_floats), 0.0f);
+  if (p.program == Program::kEncoder) {
+    tokens_.resize(static_cast<size_t>(p.chains * p.max_len), 0);
+    positions_.resize(static_cast<size_t>(p.chains * p.max_len), 0);
+    end_rows_.resize(static_cast<size_t>(p.chains), 0);
+    chain_ptrs_.reserve(static_cast<size_t>(p.chains));
+  } else {
+    lengths_.resize(static_cast<size_t>(p.chains), 0);
+  }
+  if (p.quant_rows > 0) {
+    qa_.resize(static_cast<size_t>(p.quant_qa_elems), 0);
+    qacc_.resize(static_cast<size_t>(p.quant_acc_elems), 0);
+    qrow_scale_.resize(static_cast<size_t>(p.quant_rows), 0.0f);
+    qrow_min_.resize(static_cast<size_t>(p.quant_rows), 0.0f);
   }
 }
 
@@ -42,31 +47,33 @@ const int64_t* PlanExecutor::IndexData(IndexArray which) const {
   return nullptr;
 }
 
-void PlanExecutor::Bind(const core::TreeOfChains& chains) {
+void PlanExecutor::BindEncoder(std::span<const core::RAChain* const> chains) {
   const Plan& p = *plan_;
-  CF_CHECK_EQ(static_cast<int64_t>(chains.size()), p.k);
+  CF_CHECK(p.program == Program::kEncoder);
+  CF_CHECK_LE(static_cast<int64_t>(chains.size()), p.chains);
   const int64_t nr = p.num_relation_ids;
   const int64_t end_token = nr + p.num_attributes;
   float* mask = arena_.data() + p.mask_offset;
-  float* bits = p.bits_offset >= 0 ? arena_.data() + p.bits_offset : nullptr;
-  float* vn = arena_.data() + p.vn_offset;
-  for (int64_t i = 0; i < p.k; ++i) {
-    const core::RAChain& c = chains[static_cast<size_t>(i)];
-    const int64_t len = c.length() + 3;  // source attr, relations, query attr, end
-    CF_CHECK_LE(len, p.max_len);
+  for (int64_t i = 0; i < p.chains; ++i) {
     int64_t* toks = tokens_.data() + i * p.max_len;
     int64_t* poss = positions_.data() + i * p.max_len;
     float* mrow = mask + i * p.max_len;
-    // ChainEncoder::Tokenize: source attribute, relations tail-to-head,
-    // query attribute, end token.
-    int64_t t = 0;
-    toks[t++] = nr + c.source_attribute;
-    for (auto it = c.relations.rbegin(); it != c.relations.rend(); ++it) {
-      toks[t++] = *it;
+    int64_t len = 0;  // padding rows beyond the chains stay fully masked
+    if (i < static_cast<int64_t>(chains.size())) {
+      const core::RAChain& c = *chains[static_cast<size_t>(i)];
+      len = c.length() + 3;  // source attr, relations, query attr, end
+      CF_CHECK_LE(len, p.max_len);
+      // ChainEncoder::Tokenize: source attribute, relations tail-to-head,
+      // query attribute, end token.
+      int64_t t = 0;
+      toks[t++] = nr + c.source_attribute;
+      for (auto it = c.relations.rbegin(); it != c.relations.rend(); ++it) {
+        toks[t++] = *it;
+      }
+      toks[t++] = nr + c.query_attribute;
+      toks[t++] = end_token;
+      CF_CHECK_EQ(t, len);
     }
-    toks[t++] = nr + c.query_attribute;
-    toks[t++] = end_token;
-    CF_CHECK_EQ(t, len);
     for (int64_t pos = 0; pos < p.max_len; ++pos) {
       if (pos < len) {
         poss[pos] = std::min(pos, p.max_position - 1);
@@ -77,7 +84,19 @@ void PlanExecutor::Bind(const core::TreeOfChains& chains) {
         mrow[pos] = 0.0f;
       }
     }
-    end_rows_[static_cast<size_t>(i)] = i * p.max_len + len - 1;
+    end_rows_[static_cast<size_t>(i)] =
+        i * p.max_len + std::max<int64_t>(len - 1, 0);
+  }
+}
+
+void PlanExecutor::BindReasoner(const core::TreeOfChains& chains) {
+  const Plan& p = *plan_;
+  CF_CHECK(p.program == Program::kReasoner);
+  CF_CHECK_EQ(static_cast<int64_t>(chains.size()), p.chains);
+  float* bits = p.bits_offset >= 0 ? arena_.data() + p.bits_offset : nullptr;
+  float* vn = arena_.data() + p.vn_offset;
+  for (int64_t i = 0; i < p.chains; ++i) {
+    const core::RAChain& c = chains[static_cast<size_t>(i)];
     lengths_[static_cast<size_t>(i)] =
         std::clamp<int64_t>(c.length(), 0, p.length_buckets - 1);
     if (bits != nullptr) {
@@ -95,8 +114,31 @@ void PlanExecutor::Bind(const core::TreeOfChains& chains) {
   }
 }
 
-float PlanExecutor::RunNormalized(const core::TreeOfChains& chains) {
-  Bind(chains);
+const float* PlanExecutor::RunEncoder(
+    std::span<const core::RAChain* const> chains) {
+  BindEncoder(chains);
+  Execute();
+  return arena_.data() + plan_->result_offset;
+}
+
+const float* PlanExecutor::RunEncoder(const core::TreeOfChains& chains) {
+  chain_ptrs_.clear();
+  for (const core::RAChain& c : chains) chain_ptrs_.push_back(&c);
+  return RunEncoder(std::span<const core::RAChain* const>(chain_ptrs_));
+}
+
+float* PlanExecutor::rows() {
+  CF_CHECK(plan_->program == Program::kReasoner);
+  return arena_.data() + plan_->rows_offset;
+}
+
+float PlanExecutor::RunReasoner(const core::TreeOfChains& chains) {
+  BindReasoner(chains);
+  Execute();
+  return arena_[static_cast<size_t>(plan_->result_offset)];
+}
+
+void PlanExecutor::Execute() {
   float* a = arena_.data();
   for (const Step& st : plan_->steps) {
     switch (st.kind) {
@@ -294,7 +336,15 @@ float PlanExecutor::RunNormalized(const core::TreeOfChains& chains) {
       }
     }
   }
-  return a[plan_->result_offset];
+}
+
+float RunNormalized(PlanExecutor& encoder, PlanExecutor& reasoner,
+                    const core::TreeOfChains& chains) {
+  const float* rows = encoder.RunEncoder(chains);
+  const int64_t d = reasoner.plan().dim;
+  std::copy(rows, rows + static_cast<int64_t>(chains.size()) * d,
+            reasoner.rows());
+  return reasoner.RunReasoner(chains);
 }
 
 }  // namespace graph

@@ -43,9 +43,22 @@ struct BufInfo {
 /// allocation and rewrites every id to a float offset in one shared arena.
 class Compiler {
  public:
-  Compiler(const core::ChainsFormerModel& model, int64_t k, int64_t max_len,
-           Precision precision, const QuantStore* store)
-      : model_(model), k_(k), len_(max_len), precision_(precision) {
+  Compiler(const core::ChainsFormerModel& model, int64_t chains,
+           int64_t max_len, Precision precision, const QuantStore* store)
+      : model_(model), k_(chains), len_(max_len), precision_(precision) {
+    const core::ChainEncoder& enc = model.encoder();
+    CF_CHECK(enc.encoder_type() == core::EncoderType::kTransformer)
+        << "static graphs require the Transformer chain encoder";
+    plan_.chains = chains;
+    plan_.max_len = max_len;
+    plan_.dim = enc.hidden_dim();
+    plan_.num_relation_ids = model.dataset().graph.num_relation_ids();
+    plan_.num_attributes = model.dataset().graph.num_attributes();
+    plan_.max_position = enc.position_embedding().num_embeddings();
+    plan_.length_buckets = core::NumericalReasoner::kMaxLengthBuckets;
+    plan_.numeric_encoding = enc.numeric_encoding();
+    plan_.use_numerical_aware = enc.use_numerical_aware();
+    plan_.train_stats = &model.train_stats();
     plan_.precision = precision;
     if (precision == Precision::kInt8) {
       CF_CHECK(store != nullptr) << "int8 compilation requires a QuantStore";
@@ -62,7 +75,8 @@ class Compiler {
     }
   }
 
-  Plan Build();
+  Plan BuildEncoder();
+  Plan BuildReasoner();
 
  private:
   // ---- Virtual buffers -----------------------------------------------------
@@ -387,31 +401,14 @@ class Compiler {
   std::vector<BufInfo> bufs_;
 };
 
-Plan Compiler::Build() {
+Plan Compiler::BuildEncoder() {
+  plan_.program = Program::kEncoder;
   const core::ChainEncoder& enc = model_.encoder();
-  const core::NumericalReasoner& reasoner = model_.reasoner();
-  CF_CHECK(enc.encoder_type() == core::EncoderType::kTransformer)
-      << "static graphs require the Transformer chain encoder";
-  const int64_t d = enc.hidden_dim();
+  const int64_t d = plan_.dim;
   const int64_t k = k_, len = len_;
 
-  plan_.k = k;
-  plan_.max_len = len;
-  plan_.dim = d;
-  plan_.num_relation_ids = model_.dataset().graph.num_relation_ids();
-  plan_.num_attributes = model_.dataset().graph.num_attributes();
-  plan_.max_position = enc.position_embedding().num_embeddings();
-  plan_.length_buckets = core::NumericalReasoner::kMaxLengthBuckets;
-  plan_.numeric_encoding = enc.numeric_encoding();
-  plan_.use_numerical_aware = enc.use_numerical_aware();
-  plan_.train_stats = &model_.train_stats();
-
-  // Binder-written inputs.
+  // ---- ChainEncoder::EndTokenRows ------------------------------------------
   const int64_t mask = NewInput(k * len);
-  const int64_t bits = plan_.use_numerical_aware ? NewInput(k * 64) : -1;
-  const int64_t vn = NewInput(k);
-
-  // ---- ChainEncoder::EncodeBatch -------------------------------------------
   const int64_t tok =
       GatherTable(enc.token_embedding().table(), IndexArray::kTokens, k * len);
   Expect("Gather", {k * len, d});
@@ -436,6 +433,26 @@ Plan Compiler::Build() {
     Expect("Gather", {k, d});
   }
 
+  AssignOffsets();
+  plan_.mask_offset = bufs_[static_cast<size_t>(mask)].offset;
+  plan_.result_offset = bufs_[static_cast<size_t>(e_c)].offset;
+  return std::move(plan_);
+}
+
+Plan Compiler::BuildReasoner() {
+  plan_.program = Program::kReasoner;
+  const core::ChainEncoder& enc = model_.encoder();
+  const core::NumericalReasoner& reasoner = model_.reasoner();
+  const int64_t d = plan_.dim;
+  const int64_t k = k_;
+
+  // Inputs: the end-token rows (written by the caller) and the binder's
+  // per-chain values.
+  const int64_t e_c = NewInput(k * d);
+  const int64_t bits = plan_.use_numerical_aware ? NewInput(k * 64) : -1;
+  const int64_t vn = NewInput(k);
+
+  // ---- ChainEncoder::AffineTransfer ----------------------------------------
   int64_t reps = e_c;
   if (plan_.use_numerical_aware) {
     const int64_t alpha = MlpEmit(enc.mlp_alpha(), bits, k);  // [k, d*d]
@@ -562,7 +579,7 @@ Plan Compiler::Build() {
   }
 
   AssignOffsets();
-  plan_.mask_offset = bufs_[static_cast<size_t>(mask)].offset;
+  plan_.rows_offset = bufs_[static_cast<size_t>(e_c)].offset;
   plan_.bits_offset =
       bits >= 0 ? bufs_[static_cast<size_t>(bits)].offset : -1;
   plan_.vn_offset = bufs_[static_cast<size_t>(vn)].offset;
@@ -644,17 +661,18 @@ void Compiler::AssignOffsets() {
 
 }  // namespace
 
-Plan CompilePlan(const core::ChainsFormerModel& model, int64_t k,
-                 int64_t max_len) {
-  return CompilePlan(model, k, max_len, Precision::kFp64, nullptr);
+Plan CompileEncoderPlan(const core::ChainsFormerModel& model, int64_t chains,
+                        int64_t max_len, Precision precision,
+                        const QuantStore* store) {
+  CF_CHECK_GT(chains, 0);
+  CF_CHECK_GT(max_len, 0);
+  return Compiler(model, chains, max_len, precision, store).BuildEncoder();
 }
 
-Plan CompilePlan(const core::ChainsFormerModel& model, int64_t k,
-                 int64_t max_len, Precision precision,
-                 const QuantStore* store) {
+Plan CompileReasonerPlan(const core::ChainsFormerModel& model, int64_t k,
+                         Precision precision, const QuantStore* store) {
   CF_CHECK_GT(k, 0);
-  CF_CHECK_GT(max_len, 0);
-  return Compiler(model, k, max_len, precision, store).Build();
+  return Compiler(model, k, /*max_len=*/0, precision, store).BuildReasoner();
 }
 
 }  // namespace graph

@@ -83,15 +83,29 @@ struct Step {
   float scalar = 0.0f;
 };
 
-/// A compiled inference program for one (k, max_len) geometry bucket:
-/// the full PredictOnChainSets tensor compute for a single query with k
-/// chains padded to max_len tokens, flattened to a fixed step sequence over
-/// one liveness-packed arena. Produced by CompilePlan, executed by
-/// PlanExecutor, cached per bucket by StaticGraphRuntime.
+/// Which half of the split single-query forward a Plan holds (DESIGN §6f).
+/// The split sits at the end-token gather: the encoder program reads only
+/// chain patterns, the reasoner program everything that depends on values.
+enum class Program : uint8_t {
+  kEncoder,   // pattern tokens -> end-token rows e_c [chains, dim]
+  kReasoner,  // e_c rows + evidence values -> normalized prediction
+};
+
+/// A compiled inference program for one geometry bucket, flattened to a
+/// fixed step sequence over one liveness-packed arena. Produced by
+/// CompileEncoderPlan / CompileReasonerPlan, executed by PlanExecutor,
+/// cached per bucket by StaticGraphRuntime.
+///
+/// The encoder program is ChainEncoder::EndTokenRows for `chains` token
+/// sequences padded to `max_len`. The reasoner program is the rest of
+/// PredictOnChainSets for one query with k = `chains` chains: the
+/// numerical-aware affine transfer, the projection, the Treeformer, the
+/// chain weights and the weighted sum.
 struct Plan {
   // Geometry.
-  int64_t k = 0;        // chains per query (exact)
-  int64_t max_len = 0;  // padded token-sequence length (bucket)
+  Program program = Program::kEncoder;
+  int64_t chains = 0;   // rows per run: the encoder's m, the reasoner's k
+  int64_t max_len = 0;  // encoder: padded token length; reasoner: 0
   int64_t dim = 0;      // hidden dim
 
   // Binder facts (how the executor turns a chain set into inputs).
@@ -103,13 +117,15 @@ struct Plan {
   bool use_numerical_aware = false;
   const std::vector<kg::AttributeStats>* train_stats = nullptr;
 
-  // Program.
+  // Program. Inputs are written by the executor's binder (or, for the
+  // reasoner's rows, by its caller) before the steps run.
   std::vector<Step> steps;
   int64_t arena_floats = 0;
-  int64_t mask_offset = -1;    // [k * max_len] key-padding mask
-  int64_t bits_offset = -1;    // [k * 64] numeric encodings (if affine)
-  int64_t vn_offset = -1;      // [k] normalized evidence values
-  int64_t result_offset = -1;  // normalized scalar prediction
+  int64_t mask_offset = -1;    // encoder: [chains * max_len] key-padding mask
+  int64_t rows_offset = -1;    // reasoner: [chains * dim] end-token rows e_c
+  int64_t bits_offset = -1;    // reasoner: [chains * 64] numeric encodings
+  int64_t vn_offset = -1;      // reasoner: [chains] normalized evidence values
+  int64_t result_offset = -1;  // encoder: [chains * dim] e_c; reasoner: scalar
 
   // Reduced-precision state (empty / zero when precision == kFp64). Packs
   // are indexed by Step::extra of the quantized step kinds; the scratch
@@ -121,33 +137,38 @@ struct Plan {
   int64_t quant_qa_elems = 0;   // max m * padded-k (uint8 activation codes)
   int64_t quant_acc_elems = 0;  // max m * padded-n (int32 accumulators)
 
-  // The op skeleton the eager path is expected to execute for this
-  // geometry, for cross-validation against a Tracer recording. Identical
-  // in every precision mode: quantized lowering swaps step kinds, not the
-  // eager op sequence the plan mirrors.
+  // The op skeleton the eager path is expected to execute for this program
+  // and geometry, for cross-validation against a Tracer recording. The
+  // encoder skeleton at (k, len) followed by the reasoner skeleton at k is
+  // the trace of PredictOnChainSets for one query. Identical in every
+  // precision mode: quantized lowering swaps step kinds, not the eager op
+  // sequence the plan mirrors.
   std::vector<TraceEvent> expected_events;
 
   // Keeps the parameter storage behind every w0/w1 pointer alive.
   std::vector<std::shared_ptr<tensor::TensorImpl>> pinned;
 };
 
-/// Compiles the frozen model's single-query batched-encoder forward for k
-/// chains padded to max_len tokens. Walks the model's module tree (the
-/// accessors on ChainEncoder / NumericalReasoner / the nn layers) and emits
+/// Compiles the frozen model's encoder program: ChainEncoder::EndTokenRows
+/// for `chains` token sequences padded to `max_len`. Walks the model's
+/// module tree (the accessors on ChainEncoder and the nn layers) and emits
 /// the exact eager op sequence with elementwise chains fused and every
 /// intermediate placed in one arena by liveness. Requires the Transformer
-/// encoder type. The caller is responsible for verifying the plan against
-/// an eager run before serving from it (StaticGraphRuntime does both).
-Plan CompilePlan(const core::ChainsFormerModel& model, int64_t k,
-                 int64_t max_len);
+/// encoder type. kInt8 lowers every Linear to the quantized step kinds and
+/// requires a QuantStore whose rows came from BuildQuantStore on this model
+/// (matched against the QuantizableLinears walk by name and shape); kFp64
+/// ignores `store`. The caller is responsible for verifying the plan
+/// against an eager run before serving from it (StaticGraphRuntime does
+/// both).
+Plan CompileEncoderPlan(const core::ChainsFormerModel& model, int64_t chains,
+                        int64_t max_len, Precision precision = Precision::kFp64,
+                        const QuantStore* store = nullptr);
 
-/// Reduced-precision compilation: identical program shape, but every Linear
-/// kGemm lowers to the precision's step kinds. kInt8 requires a QuantStore
-/// whose rows came from BuildQuantStore on this model (matched against the
-/// QuantizableLinears walk by name and shape); kFp64 ignores `store`.
-Plan CompilePlan(const core::ChainsFormerModel& model, int64_t k,
-                 int64_t max_len, Precision precision,
-                 const QuantStore* store);
+/// Compiles the reasoner program for one query with k chains, whose
+/// end-token rows are its input. Same contract as CompileEncoderPlan.
+Plan CompileReasonerPlan(const core::ChainsFormerModel& model, int64_t k,
+                         Precision precision = Precision::kFp64,
+                         const QuantStore* store = nullptr);
 
 }  // namespace graph
 }  // namespace chainsformer

@@ -121,12 +121,17 @@ void CalibrateQuantStore(const core::ChainsFormerModel& model,
                          const std::vector<core::Query>& queries,
                          QuantStore* store) {
   CF_CHECK(store != nullptr);
-  // One compiled plan + reusable executor per exact (k, max_tokens)
-  // geometry; calibration runs offline so there is no need for the serving
-  // runtime's bucketing or pooling.
-  std::map<std::pair<int64_t, int64_t>,
-           std::pair<std::shared_ptr<const Plan>, std::unique_ptr<PlanExecutor>>>
-      plans;
+  // The two programs the runtime serves from, at each query's exact
+  // geometry: one encoder executor per (k, max_tokens) and one reasoner
+  // executor per k. Calibration runs offline, so there is no need for the
+  // serving runtime's bucketing, pooling or pattern table.
+  auto executor = [&](Plan plan) {
+    return std::make_unique<PlanExecutor>(
+        std::make_shared<const Plan>(std::move(plan)));
+  };
+  std::map<std::pair<int64_t, int64_t>, std::unique_ptr<PlanExecutor>>
+      encoders;
+  std::map<int64_t, std::unique_ptr<PlanExecutor>> reasoners;
   double sum_abs = 0.0;
   int64_t n = 0;
   for (const core::Query& query : queries) {
@@ -136,14 +141,19 @@ void CalibrateQuantStore(const core::ChainsFormerModel& model,
         model.PredictOnChainSets({query}, {&chains});
     const int64_t k = static_cast<int64_t>(chains.size());
     const int64_t len = MaxTokens(chains);
-    auto& slot = plans[{k, len}];
-    if (slot.first == nullptr) {
-      slot.first = std::make_shared<const Plan>(
-          CompilePlan(model, k, len, Precision::kInt8, store));
-      slot.second = std::make_unique<PlanExecutor>(slot.first);
+    auto& encoder = encoders[{k, len}];
+    if (encoder == nullptr) {
+      encoder = executor(
+          CompileEncoderPlan(model, k, len, Precision::kInt8, store));
+    }
+    auto& reasoner = reasoners[k];
+    if (reasoner == nullptr) {
+      reasoner =
+          executor(CompileReasonerPlan(model, k, Precision::kInt8, store));
     }
     const double compiled_norm = std::clamp(
-        static_cast<double>(slot.second->RunNormalized(chains)), -0.1, 1.1);
+        static_cast<double>(RunNormalized(*encoder, *reasoner, chains)), -0.1,
+        1.1);
     CF_CHECK_LT(static_cast<size_t>(query.attribute),
                 model.train_stats().size());
     const double eager_norm =

@@ -5,11 +5,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/chainsformer.h"
 #include "graph/executor.h"
+#include "graph/pattern_table.h"
 #include "graph/plan.h"
 #include "util/metrics.h"
 #include "util/sync.h"
@@ -31,23 +34,37 @@ struct RuntimeOptions {
   std::shared_ptr<const QuantStore> quant;
 };
 
+/// Row-storage budget of a runtime's pattern table: 8 MiB holds 32,768
+/// end-token rows at d = 64, several times the patterns a paper-scale
+/// graph's test and uniform keys produce.
+inline constexpr int64_t kPatternTableBytes = int64_t{8} << 20;
+
 /// Serves single-query predictions from compiled static plans with a small
-/// per-geometry plan cache (DESIGN §6f). This is the serving dispatcher's one
-/// way to compute a query: a model whose encoder does not compile
-/// (Supports() is false) is answered by the eager PredictOnChainSets, like a
-/// bucket that failed its gate or a full plan cache, and serves fp64.
+/// per-geometry plan cache and a pattern table (DESIGN §6f). This is the
+/// serving dispatcher's one way to compute a query: a model whose encoder
+/// does not compile (Supports() is false) is answered by the eager
+/// PredictOnChainSets, like a bucket that failed its gate or a full plan
+/// cache, and serves fp64.
 ///
-/// Requests are bucketed by (k, padded max_len): k is exact, the token
-/// length rounds up to the next multiple of two so nearby lengths share a
-/// plan. The first request of a bucket traces one eager PredictOnChainSets
-/// forward, compiles the plan, cross-checks the compiler's op skeleton
-/// against the trace, and gates the bucket on the compiled result matching
-/// the eager prediction bit-for-bit; any mismatch pins the bucket to the
-/// eager path permanently (plan.verify_failures). Subsequent requests pop a
-/// warmed PlanExecutor from the bucket's idle pool and run allocation-free.
+/// The forward is split at the end-token gather into two programs. Each
+/// chain's end-token row comes from the pattern table when its pattern was
+/// seen before; the encoder program runs over this request's missed
+/// patterns only, bucketed by (count rounded up to a power of two, token
+/// length rounded up to a multiple of two), and its rows enter the table.
+/// The reasoner program then runs over the k rows, bucketed by k.
 ///
-/// Counters: plan.cache_hits / plan.cache_misses / plan.verify_failures;
-/// gauge plan.arena_bytes totals the arena footprint of live plans.
+/// A bucket's first use is gated against the eager model, after an
+/// op-skeleton cross-check: the encoder program's rows bitwise against
+/// ChainEncoder::EndTokenRows, the reasoner program's value bitwise against
+/// PredictOnChainSets. At int8 both are judged by the final value, within
+/// kInt8VerifyTolerance in normalized space. A bucket that fails pins to the eager path permanently
+/// (plan.verify_failures) and the request writes nothing into the table.
+/// Warm requests pop pooled executors and run allocation-free.
+///
+/// Counters: plan.cache_hits / plan.cache_misses count requests served by
+/// warm programs / requests that paid a first-use gate; plan.pattern_hits /
+/// plan.pattern_misses count chains; gauges plan.arena_bytes (live plans)
+/// and plan.pattern_bytes (table rows).
 ///
 /// Thread-safe: Predict may be called concurrently once the model is
 /// trained; the model must outlive the runtime.
@@ -56,15 +73,16 @@ class StaticGraphRuntime {
   /// Per-call timing facts Predict reports back to a caller that is
   /// building a request trace (the serving layer's verify span).
   struct PredictStats {
-    int64_t verify_us = 0;   // trace+compile+bitwise-verify gate, if it ran
-    bool compiled = false;   // served from a warmed compiled plan
-    bool bucket_miss = false;  // this call paid the bucket's first-use gate
+    int64_t verify_us = 0;   // first-use gate time, if one ran
+    bool compiled = false;   // served from warmed compiled programs
+    bool bucket_miss = false;  // this call paid a bucket's first-use gate
   };
 
-  /// Point-in-time facts about one cached plan bucket (admin endpoint).
+  /// Point-in-time facts about one cached program bucket (admin endpoint).
   struct BucketStats {
-    int64_t k = 0;
-    int64_t max_len = 0;
+    const char* program = "reasoner";  // "encoder" or "reasoner"
+    int64_t k = 0;        // chains per run (the encoder's padded count)
+    int64_t max_len = 0;  // encoder token length; 0 for the reasoner
     bool ready = false;
     bool eager_fallback = false;
     int64_t idle_executors = 0;
@@ -73,6 +91,14 @@ class StaticGraphRuntime {
     // parity gate pinned to the eager path) and the verify tolerance in use.
     const char* precision = "fp64";
     double verify_tolerance = 0.0;
+  };
+
+  /// Point-in-time size of the pattern table.
+  struct PatternTableStats {
+    int64_t rows = 0;
+    int64_t bytes = 0;
+    int64_t capacity_bytes = 0;
+    bool full = false;  // new patterns are encoded per request, not kept
   };
 
   explicit StaticGraphRuntime(const core::ChainsFormerModel& model);
@@ -94,8 +120,11 @@ class StaticGraphRuntime {
                                 const core::TreeOfChains& chains,
                                 PredictStats* stats = nullptr) const;
 
-  /// Snapshot of every cached plan bucket, ordered by (k, max_len).
+  /// Snapshot of every cached program bucket: encoder buckets ordered by
+  /// (k, max_len), then reasoner buckets by k.
   std::vector<BucketStats> Stats() const;
+
+  PatternTableStats pattern_table() const;
 
   Precision precision() const { return options_.precision; }
   double verify_tolerance() const {
@@ -104,17 +133,70 @@ class StaticGraphRuntime {
 
  private:
   struct Entry {
+    // Encoder buckets run only on table misses, rare once the table is
+    // warm, so they pool one idle executor; reasoner buckets pool as many
+    // as ran at once.
+    explicit Entry(size_t max_idle) : max_idle(max_idle) {}
+    const size_t max_idle;
     cf::Mutex mu{"graph.plan_bucket"};
     bool ready CF_GUARDED_BY(mu) = false;
     bool eager_fallback CF_GUARDED_BY(mu) = false;
     std::shared_ptr<const Plan> plan CF_GUARDED_BY(mu);
     std::vector<std::unique_ptr<PlanExecutor>> idle CF_GUARDED_BY(mu);
   };
+  // (program, chains per run, token length).
+  using BucketKey = std::tuple<Program, int64_t, int64_t>;
 
-  core::BatchPrediction RunCompiled(Entry& entry, const core::Query& query,
-                                    const core::TreeOfChains& chains) const;
+
+  class Lease;
+
+  /// The distinct patterns among one request's table misses.
+  struct Misses {
+    std::vector<int64_t> chain;  // indices of the chains that missed
+    std::vector<const core::RAChain*> unique;  // encoder program input
+    std::vector<int64_t> slot;   // chain[i]'s row in the encoder output
+    int64_t max_tokens = 0;      // longest token sequence among unique
+  };
+
+  core::BatchPrediction Eager(const core::Query& query,
+                              const core::TreeOfChains& chains) const;
+  /// Plan cache full: serve eagerly without compiling another plan.
+  core::BatchPrediction PlanCacheFull(const core::Query& query,
+                                      const core::TreeOfChains& chains) const;
   core::BatchPrediction Denormalized(const core::Query& query,
                                      float normalized) const;
+  /// The bucket for `key`, created on first sight; null when the plan
+  /// cache is full.
+  std::shared_ptr<Entry> Bucket(const BucketKey& key) const;
+  static BucketKey EncoderKey(const Misses& misses);
+  static Misses CollectMisses(const core::TreeOfChains& chains,
+                              std::vector<int64_t> missed);
+  /// Runs the encoder program over the distinct missed patterns and copies
+  /// each missed chain's row into `rows`. Returns the program's rows.
+  const float* EncodeMisses(PlanExecutor& encoder, const Misses& misses,
+                            float* rows) const;
+  /// Inserts the encoder program's rows into the pattern table.
+  void Remember(const Misses& misses, const float* encoded) const;
+  void CountPatterns(int64_t hits, int64_t misses) const;
+  /// Serves a request from settled buckets; nullopt when one of its buckets
+  /// still waits for its first-use gate. Holds no executor on return.
+  std::optional<core::BatchPrediction> PredictWarm(
+      const core::Query& query, const core::TreeOfChains& chains,
+      PredictStats* stats) const;
+  /// Serves a request whose reasoner or encoder bucket still waits for its
+  /// first-use gate. Gates run one at a time, under gate_mu_.
+  core::BatchPrediction PredictGated(const core::Query& query,
+                                     const core::TreeOfChains& chains,
+                                     PredictStats* stats) const;
+  /// The encoder gate: op skeleton, and at fp64 the rows bitwise, against
+  /// ChainEncoder::EndTokenRows over the same patterns.
+  bool VerifyEncoder(const Misses& misses, const Plan& plan,
+                     const float* encoded) const;
+  /// The final-value gate: bitwise at fp64, kInt8VerifyTolerance at int8.
+  bool VerifyValue(const core::Query& query, int64_t k, float normalized,
+                   const core::BatchPrediction& eager) const;
+  void Settle(Entry& entry, std::shared_ptr<const Plan> plan) const;
+  void Pin(Entry& entry) const;
 
   const core::ChainsFormerModel& model_;
   const bool compiles_;
@@ -124,10 +206,17 @@ class StaticGraphRuntime {
   metrics::Counter* verify_failures_;
   metrics::Counter* verify_micros_;
   metrics::Counter* quant_fallbacks_;
+  metrics::Counter* pattern_hits_;
+  metrics::Counter* pattern_misses_;
   metrics::Gauge* arena_bytes_;
+  metrics::Gauge* pattern_bytes_;
   mutable std::atomic<int64_t> arena_bytes_total_{0};
+  mutable PatternTable table_;
+  // Serializes first-use gates: held through the eager forward, the
+  // compilation and the compiled replay of every gate.
+  mutable cf::Mutex gate_mu_{"graph.plan_gate"};
   mutable cf::Mutex mu_{"graph.plan_cache"};
-  mutable std::map<std::pair<int64_t, int64_t>, std::shared_ptr<Entry>> plans_
+  mutable std::map<BucketKey, std::shared_ptr<Entry>> plans_
       CF_GUARDED_BY(mu_);
 };
 

@@ -136,10 +136,24 @@ std::string StatusJson(const InferenceService* service) {
        << ", \"quant_error_budget\": " << Num(kQuantErrorBudget)
        << ", \"quant_rejected\": "
        << (service->quant_rejected() ? "true" : "false") << "}";
+    const graph::StaticGraphRuntime::PatternTableStats table =
+        rt->pattern_table();
+    const int64_t pattern_hits =
+        cumulative.CounterValue(metrics::names::kPlanPatternHits);
+    const int64_t pattern_misses =
+        cumulative.CounterValue(metrics::names::kPlanPatternMisses);
+    os << ", \"pattern_table\": {\"rows\": " << table.rows
+       << ", \"bytes\": " << table.bytes
+       << ", \"capacity_bytes\": " << table.capacity_bytes
+       << ", \"full\": " << (table.full ? "true" : "false")
+       << ", \"hits\": " << pattern_hits << ", \"misses\": " << pattern_misses
+       << ", \"hit_rate\": "
+       << Num(Rate(pattern_hits, pattern_hits + pattern_misses)) << "}";
     os << ", \"plan_buckets\": [";
     first = true;
     for (const auto& b : rt->Stats()) {
-      os << (first ? "" : ", ") << "{\"k\": " << b.k
+      os << (first ? "" : ", ") << "{\"program\": \"" << b.program
+         << "\", \"k\": " << b.k
          << ", \"max_len\": " << b.max_len
          << ", \"ready\": " << (b.ready ? "true" : "false")
          << ", \"eager_fallback\": " << (b.eager_fallback ? "true" : "false")
@@ -233,16 +247,18 @@ std::string PrometheusText(const InferenceService* service) {
     os << "# TYPE cf_plan_bucket_precision gauge\n";
     for (const auto& b : buckets) {
       const std::string labels =
-          "{k=\"" + std::to_string(b.k) + "\",max_len=\"" +
-          std::to_string(b.max_len) + "\"} ";
+          "{program=\"" + std::string(b.program) + "\",k=\"" +
+          std::to_string(b.k) + "\",max_len=\"" + std::to_string(b.max_len) +
+          "\"} ";
       os << "cf_plan_bucket_ready" << labels << (b.ready ? 1 : 0) << "\n";
       os << "cf_plan_bucket_eager_fallback" << labels
          << (b.eager_fallback ? 1 : 0) << "\n";
       os << "cf_plan_bucket_idle_executors" << labels << b.idle_executors
          << "\n";
       os << "cf_plan_bucket_arena_bytes" << labels << b.arena_bytes << "\n";
-      os << "cf_plan_bucket_precision{k=\"" << b.k << "\",max_len=\""
-         << b.max_len << "\",precision=\"" << b.precision << "\"} 1\n";
+      os << "cf_plan_bucket_precision{program=\"" << b.program << "\",k=\""
+         << b.k << "\",max_len=\"" << b.max_len << "\",precision=\""
+         << b.precision << "\"} 1\n";
     }
   }
   return os.str();

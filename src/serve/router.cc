@@ -10,6 +10,7 @@
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/string_util.h"
+#include "util/trace.h"
 
 namespace chainsformer {
 namespace serve {
@@ -180,10 +181,17 @@ void Router::MarkSuccess(size_t idx) {
   }
 }
 
-bool Router::TryShard(size_t idx, const std::string& line,
+bool Router::TryShard(size_t idx, const std::string& line, uint64_t trace_id,
                       std::string* response) {
   states_[idx].forwards.fetch_add(1, std::memory_order_relaxed);
-  if (shards_[idx]->Forward(line, options_.forward_timeout_ms, response)) {
+  const bool tracing = trace::Enabled();
+  const uint64_t start_ns = tracing ? trace::NowNs() : 0;
+  const bool ok =
+      shards_[idx]->Forward(line, options_.forward_timeout_ms, response);
+  if (tracing) {
+    trace::EmitSpan("router.forward", start_ns, trace::NowNs(), trace_id);
+  }
+  if (ok) {
     MarkSuccess(idx);
     return true;
   }
@@ -209,6 +217,15 @@ std::string Router::DegradedResponse(const std::string& line) const {
 }
 
 std::string Router::HandleLine(const std::string& line) {
+  if (!trace::Enabled()) return Route(line, 0);
+  const uint64_t start_ns = trace::NowNs();
+  const uint64_t trace_id = ParseTraceId(line);
+  std::string response = Route(line, trace_id);
+  trace::EmitSpan("router.request", start_ns, trace::NowNs(), trace_id);
+  return response;
+}
+
+std::string Router::Route(const std::string& line, uint64_t trace_id) {
   static auto* requests = metrics::MetricsRegistry::Global().GetCounter(
       metrics::names::kRouterRequests);
   // Windowed: together they are the SLO block's window_shard_down.
@@ -252,7 +269,7 @@ std::string Router::HandleLine(const std::string& line) {
       const size_t idx = static_cast<size_t>(chain[pos]);
       const bool down = !shard_healthy(chain[pos]);
       if (down != include_down) continue;
-      if (!TryShard(idx, line, &response)) continue;
+      if (!TryShard(idx, line, trace_id, &response)) continue;
       if (pos != 0 || include_down) {
         // Not answered by the warm owner: correct (every shard holds the
         // full model) but cache-cold. Tag it and count the SLO miss.

@@ -163,7 +163,9 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// Routes one NDJSON request line and returns the one-line response.
-  /// {"cmd": "healthz"} and {"cmd": "statusz"} answer router-side.
+  /// {"cmd": "healthz"} and {"cmd": "statusz"} answer router-side. While
+  /// tracing is on, records a router.request span around the call and one
+  /// router.forward span per shard attempt, under the client's trace_id.
   std::string HandleLine(const std::string& line);
 
   /// Probes every shard once, synchronously (tests; the background thread
@@ -188,7 +190,11 @@ class Router {
     std::atomic<int64_t> forwards{0};
   };
 
-  bool TryShard(size_t idx, const std::string& line, std::string* response);
+  /// HandleLine's body. `trace_id` is the client's, for the router.forward
+  /// spans written while tracing is on.
+  std::string Route(const std::string& line, uint64_t trace_id);
+  bool TryShard(size_t idx, const std::string& line, uint64_t trace_id,
+                std::string* response);
   void MarkFailure(size_t idx);
   void MarkSuccess(size_t idx);
   std::string DegradedResponse(const std::string& line) const;

@@ -88,6 +88,9 @@ inline constexpr char kTrainQueriesSkipped[] = "train.queries_skipped";
 inline constexpr char kPlanArenaBytes[] = "plan.arena_bytes";
 inline constexpr char kPlanCacheHits[] = "plan.cache_hits";
 inline constexpr char kPlanCacheMisses[] = "plan.cache_misses";
+inline constexpr char kPlanPatternBytes[] = "plan.pattern_bytes";
+inline constexpr char kPlanPatternHits[] = "plan.pattern_hits";
+inline constexpr char kPlanPatternMisses[] = "plan.pattern_misses";
 inline constexpr char kPlanQuantFallbacks[] = "plan.quant_fallbacks";
 inline constexpr char kPlanVerifyFailures[] = "plan.verify_failures";
 inline constexpr char kPlanVerifyMicros[] = "plan.verify_micros";

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace chainsformer {
@@ -110,6 +111,12 @@ bool JsonField(const std::string& line, const std::string& key,
     ++pos;
   }
   return false;
+}
+
+uint64_t ParseTraceId(const std::string& line) {
+  std::string raw;
+  if (!JsonField(line, "trace_id", &raw)) return 0;
+  return std::strtoull(raw.c_str(), nullptr, 0);
 }
 
 std::string EscapeJson(const std::string& s) {

@@ -1,6 +1,7 @@
 #ifndef CHAINSFORMER_UTIL_STRING_UTIL_H_
 #define CHAINSFORMER_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,11 @@ bool StartsWith(const std::string& s, const std::string& prefix);
 /// and whatever follows the key's value is never read.
 bool JsonField(const std::string& line, const std::string& key,
                std::string* out);
+
+/// Reads a request line's client-supplied `"trace_id"`: decimal or
+/// 0x-prefixed hex, as a JSON number or string. Returns 0 (= "none given")
+/// on absence or garbage.
+uint64_t ParseTraceId(const std::string& line);
 
 /// Escapes `"`, `\` and every control character below 0x20 so `s` can be
 /// embedded in a JSON string literal.

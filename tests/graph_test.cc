@@ -1,18 +1,23 @@
 // Tests for src/graph: the eager-forward tracer, compiled-plan parity with
-// the eager tape (the DESIGN §6f bitwise gate), zero-allocation steady-state
-// execution, plan-cache bucketing, the service's immediate-dispatch fix, and
-// serving a model whose encoder does not compile.
+// the eager tape (the DESIGN §6f bitwise gate), the pattern table,
+// zero-allocation steady-state execution, plan-cache bucketing, the service's
+// immediate-dispatch fix, and serving a model whose encoder does not compile.
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <new>
+#include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/chainsformer.h"
 #include "graph/executor.h"
+#include "graph/pattern_table.h"
 #include "graph/plan.h"
 #include "graph/quant.h"
 #include "graph/runtime.h"
@@ -21,6 +26,7 @@
 #include "serve/service.h"
 #include "tensor/op_observer.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 // --- operator-new counting hook ----------------------------------------------
 // Counts every scalar/array heap allocation in the process while armed. The
@@ -130,6 +136,19 @@ int64_t CounterValue(const std::string& name) {
   return metrics::MetricsRegistry::Global().Snapshot().CounterValue(name);
 }
 
+int64_t MaxTokens(const TreeOfChains& chains) {
+  int64_t max_tokens = 0;
+  for (const auto& c : chains) {
+    max_tokens = std::max<int64_t>(max_tokens, c.length() + 3);
+  }
+  return max_tokens;
+}
+
+std::unique_ptr<PlanExecutor> Executor(Plan plan) {
+  return std::make_unique<PlanExecutor>(
+      std::make_shared<const Plan>(std::move(plan)));
+}
+
 Query FirstQueryWithChains(const Trained& t) {
   for (const Query& q : HeldOutQueries(t.dataset, 8)) {
     if (!t.model->RetrieveChains(q).empty()) return q;
@@ -168,33 +187,72 @@ TEST(GraphTraceTest, TracerRecordsTheEagerForward) {
   EXPECT_TRUE(tracer.events().empty());
 }
 
-// The compiler's op skeleton must equal the trace of the eager forward at
-// the same geometry — this is the cross-check the runtime applies before
-// trusting a plan.
+// The encoder skeleton at (k, len) followed by the reasoner skeleton at k
+// must equal the trace of the eager forward — the cross-check the runtime
+// applies before trusting a reasoner bucket. The encoder skeleton alone must
+// equal the trace of ChainEncoder::EndTokenRows, which the encoder gate
+// checks.
 TEST(GraphPlanTest, CompiledSkeletonMatchesEagerTrace) {
   Trained& t = Shared();
   const Query q = FirstQueryWithChains(t);
   const TreeOfChains chains = t.model->RetrieveChains(q);
-  int64_t max_tokens = 0;
-  for (const auto& c : chains) {
-    max_tokens = std::max<int64_t>(max_tokens, c.length() + 3);
-  }
+  const int64_t k = static_cast<int64_t>(chains.size());
 
   Tracer tracer;
   {
     tensor::ScopedOpObserver scope(&tracer);
     t.model->PredictOnChainSets({q}, {&chains});
   }
-  const Plan plan = CompilePlan(
-      *t.model, static_cast<int64_t>(chains.size()), max_tokens);
-  ASSERT_FALSE(plan.steps.empty());
-  EXPECT_GT(plan.arena_floats, 0);
-  ASSERT_EQ(plan.expected_events.size(), tracer.events().size());
-  for (size_t i = 0; i < plan.expected_events.size(); ++i) {
-    EXPECT_EQ(plan.expected_events[i], tracer.events()[i])
-        << "op " << i << ": compiled "
-        << FormatTraceEvent(plan.expected_events[i]) << " vs traced "
-        << FormatTraceEvent(tracer.events()[i]);
+  const Plan encoder = CompileEncoderPlan(*t.model, k, MaxTokens(chains));
+  const Plan reasoner = CompileReasonerPlan(*t.model, k);
+  EXPECT_EQ(encoder.program, Program::kEncoder);
+  EXPECT_EQ(reasoner.program, Program::kReasoner);
+  for (const Plan* plan : {&encoder, &reasoner}) {
+    ASSERT_FALSE(plan->steps.empty());
+    EXPECT_GT(plan->arena_floats, 0);
+  }
+  std::vector<TraceEvent> expected = encoder.expected_events;
+  expected.insert(expected.end(), reasoner.expected_events.begin(),
+                  reasoner.expected_events.end());
+  ASSERT_EQ(expected.size(), tracer.events().size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i], tracer.events()[i])
+        << "op " << i << ": compiled " << FormatTraceEvent(expected[i])
+        << " vs traced " << FormatTraceEvent(tracer.events()[i]);
+  }
+
+  tracer.Clear();
+  {
+    tensor::NoGradGuard no_grad;
+    tensor::ScopedOpObserver scope(&tracer);
+    t.model->encoder().EndTokenRows(chains);
+  }
+  EXPECT_EQ(encoder.expected_events, tracer.events());
+}
+
+// The encoder program's rows are the eager end-token rows bit for bit, also
+// when the bucket pads the chain count to a power of two and the length to
+// a multiple of two.
+TEST(GraphPlanTest, EncoderRowsMatchEagerEndTokenRows) {
+  Trained& t = Shared();
+  const Query q = FirstQueryWithChains(t);
+  const TreeOfChains chains = t.model->RetrieveChains(q);
+  const int64_t k = static_cast<int64_t>(chains.size());
+  const int64_t d = t.model->encoder().hidden_dim();
+  tensor::Tensor eager;
+  {
+    tensor::NoGradGuard no_grad;
+    eager = t.model->encoder().EndTokenRows(chains);
+  }
+  for (const auto& [rows, len] :
+       {std::pair<int64_t, int64_t>{k, MaxTokens(chains)},
+        {2 * k + 1, MaxTokens(chains) + 2}}) {
+    auto encoder = Executor(CompileEncoderPlan(*t.model, rows, len));
+    const float* got = encoder->RunEncoder(chains);
+    for (int64_t i = 0; i < k * d; ++i) {
+      ASSERT_EQ(got[i], eager.data()[static_cast<size_t>(i)])
+          << "element " << i << " at (" << rows << ", " << len << ")";
+    }
   }
 }
 
@@ -246,26 +304,39 @@ TEST(GraphExecutorTest, WarmedExecutorRunsWithoutAllocating) {
   Trained& t = Shared();
   const Query q = FirstQueryWithChains(t);
   const TreeOfChains chains = t.model->RetrieveChains(q);
-  int64_t max_tokens = 0;
-  for (const auto& c : chains) {
-    max_tokens = std::max<int64_t>(max_tokens, c.length() + 3);
-  }
-  auto plan = std::make_shared<const Plan>(CompilePlan(
-      *t.model, static_cast<int64_t>(chains.size()), max_tokens));
-  PlanExecutor executor(plan);
+  const int64_t k = static_cast<int64_t>(chains.size());
+  auto encoder = Executor(CompileEncoderPlan(*t.model, k, MaxTokens(chains)));
+  auto reasoner = Executor(CompileReasonerPlan(*t.model, k));
   // Warm up: first run may fault in lazily-allocated thread-local kernel
-  // scratch; afterwards the executor owns all its working memory.
-  const float warm = executor.RunNormalized(chains);
+  // scratch; afterwards the executors own all their working memory.
+  const float warm = RunNormalized(*encoder, *reasoner, chains);
+  const core::BatchPrediction eager =
+      t.model->PredictOnChainSets({q}, {&chains})[0];
+  const auto& stats =
+      t.model->train_stats()[static_cast<size_t>(q.attribute)];
+  EXPECT_EQ(stats.Denormalize(std::clamp(static_cast<double>(warm), -0.1, 1.1)),
+            eager.value);
 
   g_alloc_count.store(0);
   g_alloc_counting.store(true);
   float v = 0.0f;
-  for (int i = 0; i < 16; ++i) v = executor.RunNormalized(chains);
+  for (int i = 0; i < 16; ++i) v = RunNormalized(*encoder, *reasoner, chains);
+  const int64_t both = g_alloc_count.load();
+  const float* rows = nullptr;
+  for (int i = 0; i < 16; ++i) rows = encoder->RunEncoder(chains);
+  const int64_t encoder_only = g_alloc_count.load() - both;
+  for (int i = 0; i < 16; ++i) {
+    // The program reuses its input rows' space: write them before each run.
+    std::copy(rows, rows + k * reasoner->plan().dim, reasoner->rows());
+    v = reasoner->RunReasoner(chains);
+  }
+  const int64_t reasoner_only = g_alloc_count.load() - both - encoder_only;
   g_alloc_counting.store(false);
 
-  EXPECT_EQ(v, warm) << "executor is not deterministic";
-  EXPECT_EQ(g_alloc_count.load(), 0)
-      << "steady-state RunNormalized performed heap allocations";
+  EXPECT_EQ(v, warm) << "executors are not deterministic";
+  EXPECT_EQ(both, 0) << "steady-state table-miss path allocated";
+  EXPECT_EQ(encoder_only, 0) << "steady-state RunEncoder allocated";
+  EXPECT_EQ(reasoner_only, 0) << "steady-state RunReasoner allocated";
 }
 
 TEST(GraphRuntimeTest, WarmedRuntimePredictRunsWithoutAllocating) {
@@ -273,9 +344,11 @@ TEST(GraphRuntimeTest, WarmedRuntimePredictRunsWithoutAllocating) {
   StaticGraphRuntime runtime(*t.model);
   const Query q = FirstQueryWithChains(t);
   const TreeOfChains chains = t.model->RetrieveChains(q);
-  // First call compiles + verifies the bucket; second call warms the pool.
+  // First call compiles + verifies both programs and fills the pattern
+  // table; the second warms the pool. From then on every pattern hits.
   const core::BatchPrediction first = runtime.Predict(q, chains);
   runtime.Predict(q, chains);
+  const int64_t pattern_misses0 = CounterValue("plan.pattern_misses");
 
   g_alloc_count.store(0);
   g_alloc_counting.store(true);
@@ -286,6 +359,8 @@ TEST(GraphRuntimeTest, WarmedRuntimePredictRunsWithoutAllocating) {
   EXPECT_EQ(r.value, first.value);
   EXPECT_EQ(g_alloc_count.load(), 0)
       << "steady-state Predict performed heap allocations";
+  EXPECT_EQ(CounterValue("plan.pattern_misses"), pattern_misses0)
+      << "a warm-table Predict encoded a pattern";
 }
 
 // --- Plan cache --------------------------------------------------------------
@@ -324,6 +399,224 @@ TEST(GraphRuntimeTest, BucketMissRetracesAndHitReuses) {
   const double arena1 =
       metrics::MetricsRegistry::Global().GetGauge("plan.arena_bytes")->Value();
   EXPECT_GT(arena1, arena0) << "compiled plans did not report arena bytes";
+}
+
+// --- Pattern table -----------------------------------------------------------
+
+/// Held-out queries followed by `uniform` keys drawn uniformly over every
+/// (entity, attribute) pair, the way a cold serving stream looks.
+std::vector<Query> HeldOutAndUniformQueries(const kg::Dataset& ds,
+                                            size_t uniform) {
+  std::vector<Query> queries = HeldOutQueries(ds, 100);
+  Rng rng(2504);
+  for (size_t i = 0; i < uniform; ++i) {
+    queries.push_back(
+        {static_cast<kg::EntityId>(rng.UniformInt(
+             static_cast<uint64_t>(ds.graph.num_entities()))),
+         static_cast<kg::AttributeId>(rng.UniformInt(
+             static_cast<uint64_t>(ds.graph.num_attributes())))});
+  }
+  return queries;
+}
+
+std::vector<int32_t> PatternOf(const core::RAChain& c) {
+  const PatternKey key(c);
+  return {key.ids().begin(), key.ids().end()};
+}
+
+// A pattern's row is encoded once, inside whichever Tree of Chains first
+// holds it, and then served to every later chain with that pattern. Those
+// answers must still equal PredictOnChainSets bitwise — including chains
+// whose pattern was first encoded in a different ToC, at another padded
+// length and at another k (counted below, so the test cannot pass
+// vacuously). Retrieval keeps top_k chains for nearly every query, so each
+// query is also served with a rotating prefix of its chains dropped, the
+// way a chain-quality-pruned ToC arrives.
+TEST(GraphRuntimeTest, TableRowsServeOtherTreesLengthsAndK) {
+  Trained& t = Shared();
+  StaticGraphRuntime runtime(*t.model);
+  const std::vector<Query> queries = HeldOutAndUniformQueries(t.dataset, 240);
+  ASSERT_GE(queries.size(), 300u);
+
+  // Where each pattern was first encoded: the encoder program ran over that
+  // request's distinct missed patterns, padded to a multiple of two tokens.
+  struct FirstUse {
+    size_t request;
+    int64_t k;
+    int64_t padded_len;
+  };
+  std::map<std::vector<int32_t>, FirstUse> first;
+  const int64_t hits0 = CounterValue("plan.pattern_hits");
+  const int64_t misses0 = CounterValue("plan.pattern_misses");
+  int64_t expected_hits = 0, expected_misses = 0;
+  size_t served = 0, request = 0;
+  int64_t cross_context = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const TreeOfChains full = t.model->RetrieveChains(queries[i]);
+    const size_t drop = full.empty() ? 0 : i % full.size();
+    const TreeOfChains tail(full.begin() + static_cast<std::ptrdiff_t>(drop),
+                            full.end());
+    for (const TreeOfChains* chains : {&full, &tail}) {
+      ++request;
+      const core::BatchPrediction eager =
+          t.model->PredictOnChainSets({queries[i]}, {chains})[0];
+      const core::BatchPrediction compiled =
+          runtime.Predict(queries[i], *chains);
+      ASSERT_EQ(compiled.value, eager.value) << "query " << i;
+      ASSERT_EQ(compiled.has_evidence, eager.has_evidence) << "query " << i;
+      if (chains->empty()) continue;
+      ++served;
+      const int64_t k = static_cast<int64_t>(chains->size());
+      int64_t miss_tokens = 0;
+      std::set<std::vector<int32_t>> new_patterns;
+      for (const auto& c : *chains) {
+        std::vector<int32_t> key = PatternOf(c);
+        auto it = first.find(key);
+        if (it == first.end()) {
+          ++expected_misses;
+          new_patterns.insert(std::move(key));
+          miss_tokens = std::max<int64_t>(miss_tokens, c.length() + 3);
+          continue;
+        }
+        ++expected_hits;
+        if (it->second.request != request && it->second.k != k &&
+            it->second.padded_len != MaxTokens(*chains)) {
+          ++cross_context;
+        }
+      }
+      for (const std::vector<int32_t>& key : new_patterns) {
+        first[key] = FirstUse{request, k, (miss_tokens + 1) / 2 * 2};
+      }
+    }
+  }
+  EXPECT_GE(served, 300u);
+  EXPECT_EQ(CounterValue("plan.pattern_hits") - hits0, expected_hits);
+  EXPECT_EQ(CounterValue("plan.pattern_misses") - misses0, expected_misses);
+  EXPECT_GT(cross_context, 0)
+      << "no chain reused a row encoded in another ToC, length and k";
+  EXPECT_EQ(runtime.pattern_table().rows,
+            static_cast<int64_t>(first.size()));
+  EXPECT_EQ(CounterValue("plan.verify_failures"), 0);
+}
+
+// Four threads share one cold-table runtime and ask overlapping queries, so
+// table fills, first-use gates and warm reads interleave (Tsan runs this
+// binary: it carries the `threaded` label).
+TEST(GraphRuntimeTest, ConcurrentColdTablePredictsMatchEager) {
+  Trained& t = Shared();
+  StaticGraphRuntime runtime(*t.model);
+  std::vector<Query> queries = HeldOutQueries(t.dataset, 64);
+  queries.resize(64);
+  std::vector<TreeOfChains> chains(queries.size());
+  std::vector<double> eager(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    chains[i] = t.model->RetrieveChains(queries[i]);
+    eager[i] = t.model->PredictOnChainSets({queries[i]}, {&chains[i]})[0].value;
+  }
+
+  constexpr int kThreads = 4;
+  constexpr size_t kPerThread = 40;  // windows of 40 starting 16 apart
+  const int64_t hits0 = CounterValue("plan.pattern_hits");
+  const int64_t misses0 = CounterValue("plan.pattern_misses");
+  const int64_t failures0 = CounterValue("plan.verify_failures");
+  std::atomic<int64_t> mismatches{0};
+  std::atomic<int64_t> chains_served{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (size_t j = 0; j < kPerThread; ++j) {
+        const size_t i = (static_cast<size_t>(w) * 16 + j) % queries.size();
+        const core::BatchPrediction r = runtime.Predict(queries[i], chains[i]);
+        if (r.value != eager[i]) mismatches.fetch_add(1);
+        chains_served.fetch_add(static_cast<int64_t>(chains[i].size()));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(CounterValue("plan.verify_failures"), failures0);
+  EXPECT_EQ(CounterValue("plan.pattern_hits") - hits0 +
+                CounterValue("plan.pattern_misses") - misses0,
+            chains_served.load());
+  const StaticGraphRuntime::PatternTableStats table = runtime.pattern_table();
+  const int64_t row_bytes =
+      t.model->encoder().hidden_dim() * static_cast<int64_t>(sizeof(float));
+  EXPECT_GT(table.rows, 0);
+  EXPECT_EQ(table.bytes, table.rows * row_bytes);
+  EXPECT_EQ(
+      metrics::MetricsRegistry::Global().GetGauge("plan.pattern_bytes")->Value(),
+      static_cast<double>(table.rows * row_bytes));
+}
+
+core::RAChain MakeChain(kg::AttributeId source, std::vector<kg::RelationId> rel,
+                        kg::AttributeId query, double value) {
+  return core::RAChain{source, std::move(rel), query, value, /*v_p=*/0};
+}
+
+// A full table keeps answering what it holds, refuses new patterns and
+// never evicts or overwrites a row.
+TEST(PatternTableTest, FullTableAnswersAndNeverEvicts) {
+  constexpr int64_t kDim = 4;
+  PatternTable table(kDim, /*capacity_bytes=*/2 * kDim * sizeof(float));
+  EXPECT_EQ(table.capacity_rows(), 2);
+  const TreeOfChains held = {MakeChain(1, {3, 4}, 2, 10.0),
+                             MakeChain(1, {4, 3}, 2, 10.0)};
+  const std::vector<float> rows = {1, 2, 3, 4, 5, 6, 7, 8};
+  const std::vector<const core::RAChain*> held_ptrs = {&held[0], &held[1]};
+  EXPECT_EQ(table.Insert(held_ptrs, rows.data()), 2);
+  EXPECT_EQ(table.rows(), 2);
+
+  // Full: a new pattern is refused, a held one is not overwritten.
+  const core::RAChain fresh = MakeChain(2, {3, 4}, 1, 10.0);
+  const std::vector<float> other = {9, 9, 9, 9};
+  const std::vector<const core::RAChain*> fresh_ptr = {&fresh};
+  const std::vector<const core::RAChain*> held0_ptr = {&held[0]};
+  EXPECT_EQ(table.Insert(fresh_ptr, other.data()), 0);
+  EXPECT_EQ(table.Insert(held0_ptr, other.data()), 0);
+  EXPECT_EQ(table.rows(), 2);
+  EXPECT_EQ(table.bytes(), 2 * kDim * static_cast<int64_t>(sizeof(float)));
+
+  // Same pattern with another value (and source entity) hits; reordered
+  // relations and swapped attributes are other patterns.
+  const TreeOfChains ask = {MakeChain(1, {4, 3}, 2, -5.0), fresh,
+                            MakeChain(1, {3, 4}, 2, 99.0)};
+  std::vector<float> out(3 * kDim, -1.0f);
+  std::vector<int64_t> missing;
+  EXPECT_EQ(table.Lookup(ask, out.data(), &missing), 2);
+  EXPECT_EQ(missing, std::vector<int64_t>{1});
+  EXPECT_EQ(std::vector<float>(out.begin(), out.begin() + kDim),
+            std::vector<float>(rows.begin() + kDim, rows.end()));
+  EXPECT_EQ(std::vector<float>(out.begin() + kDim, out.begin() + 2 * kDim),
+            std::vector<float>(kDim, -1.0f))
+      << "a missed chain's row must be left alone";
+  EXPECT_EQ(std::vector<float>(out.begin() + 2 * kDim, out.end()),
+            std::vector<float>(rows.begin(), rows.begin() + kDim));
+}
+
+// Keys longer than the inline buffer spill to the heap and stay exact.
+TEST(PatternTableTest, LongChainsKeepExactKeys) {
+  std::vector<kg::RelationId> long_rel(20);
+  for (size_t i = 0; i < long_rel.size(); ++i) {
+    long_rel[i] = static_cast<kg::RelationId>(i);
+  }
+  std::vector<kg::RelationId> other_rel = long_rel;
+  other_rel.back() = 99;
+  const core::RAChain a = MakeChain(0, long_rel, 1, 1.0);
+  const core::RAChain b = MakeChain(0, other_rel, 1, 1.0);
+  EXPECT_EQ(PatternOf(a), PatternOf(MakeChain(0, long_rel, 1, 2.0)));
+  EXPECT_NE(PatternOf(a), PatternOf(b));
+
+  PatternTable table(2, 1 << 10);
+  const std::vector<float> row = {3, 4};
+  const std::vector<const core::RAChain*> a_ptr = {&a};
+  EXPECT_EQ(table.Insert(a_ptr, row.data()), 1);
+  std::vector<float> out(4, 0.0f);
+  std::vector<int64_t> missing;
+  EXPECT_EQ(table.Lookup({a, b}, out.data(), &missing), 1);
+  EXPECT_EQ(missing, std::vector<int64_t>{1});
+  EXPECT_EQ(out[0], 3.0f);
+  EXPECT_EQ(out[1], 4.0f);
 }
 
 // --- Service integration -----------------------------------------------------

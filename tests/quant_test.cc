@@ -330,23 +330,28 @@ TEST(QuantPlanTest, Int8PlanMatchesEagerWithinTolerance) {
   ASSERT_FALSE(store.linears.empty());
   const Query q = FirstQueryWithChains(t);
   const TreeOfChains chains = t.model->RetrieveChains(q);
+  const int64_t k = static_cast<int64_t>(chains.size());
 
-  const auto plan = std::make_shared<const Plan>(
-      CompilePlan(*t.model, static_cast<int64_t>(chains.size()),
-                  MaxTokens(chains), Precision::kInt8, &store));
-  EXPECT_EQ(plan->precision, Precision::kInt8);
-  EXPECT_GT(plan->quant_rows, 0);
-  PlanExecutor executor(plan);
+  const auto encoder_plan = std::make_shared<const Plan>(CompileEncoderPlan(
+      *t.model, k, MaxTokens(chains), Precision::kInt8, &store));
+  const auto reasoner_plan = std::make_shared<const Plan>(
+      CompileReasonerPlan(*t.model, k, Precision::kInt8, &store));
+  for (const auto& plan : {encoder_plan, reasoner_plan}) {
+    EXPECT_EQ(plan->precision, Precision::kInt8);
+    EXPECT_GT(plan->quant_rows, 0);
+  }
+  PlanExecutor encoder(encoder_plan);
+  PlanExecutor reasoner(reasoner_plan);
   const double compiled = std::clamp(
-      static_cast<double>(executor.RunNormalized(chains)), -0.1, 1.1);
+      static_cast<double>(RunNormalized(encoder, reasoner, chains)), -0.1, 1.1);
   EXPECT_NEAR(compiled, EagerNormalized(t, q, chains), 0.05);
 
   // Bitwise deterministic: exact int32 accumulation and one fixed dequant
   // expression, regardless of the kernel thread count.
-  const float once = executor.RunNormalized(chains);
+  const float once = RunNormalized(encoder, reasoner, chains);
   const int old_threads = tensor::kernels::KernelThreads();
   tensor::kernels::SetKernelThreads(4);
-  EXPECT_EQ(executor.RunNormalized(chains), once);
+  EXPECT_EQ(RunNormalized(encoder, reasoner, chains), once);
   tensor::kernels::SetKernelThreads(old_threads);
 }
 
@@ -360,11 +365,17 @@ TEST(QuantPlanTest, QuantizedPlansKeepTheEagerOpSkeleton) {
   const int64_t k = static_cast<int64_t>(chains.size());
   const int64_t len = MaxTokens(chains);
 
-  const Plan fp64 = CompilePlan(*t.model, k, len);
-  const Plan int8 = CompilePlan(*t.model, k, len, Precision::kInt8, &store);
-  ASSERT_EQ(int8.expected_events.size(), fp64.expected_events.size());
-  for (size_t i = 0; i < fp64.expected_events.size(); ++i) {
-    EXPECT_EQ(int8.expected_events[i], fp64.expected_events[i]) << "op " << i;
+  const Plan fp64[] = {CompileEncoderPlan(*t.model, k, len),
+                       CompileReasonerPlan(*t.model, k)};
+  const Plan int8[] = {
+      CompileEncoderPlan(*t.model, k, len, Precision::kInt8, &store),
+      CompileReasonerPlan(*t.model, k, Precision::kInt8, &store)};
+  for (int p = 0; p < 2; ++p) {
+    ASSERT_EQ(int8[p].expected_events.size(), fp64[p].expected_events.size());
+    for (size_t i = 0; i < fp64[p].expected_events.size(); ++i) {
+      EXPECT_EQ(int8[p].expected_events[i], fp64[p].expected_events[i])
+          << "program " << p << " op " << i;
+    }
   }
 }
 

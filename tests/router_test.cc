@@ -23,6 +23,7 @@
 #include "serve/router.h"
 #include "util/net.h"
 #include "util/string_util.h"
+#include "util/trace.h"
 
 namespace chainsformer {
 namespace serve {
@@ -157,6 +158,32 @@ TEST(RouterTest, ForwardsToRingOwnerPreservingIdAndTraceId) {
         << "shard's trace_id must survive the router verbatim";
     EXPECT_EQ(response.find("rerouted"), std::string::npos)
         << "healthy-path responses carry no rerouted tag: " << response;
+  }
+}
+
+// With tracing on, a routed request leaves a router.request span and one
+// router.forward span per shard attempt, both under the client's trace_id.
+TEST(RouterTest, TracingRecordsRequestAndForwardSpans) {
+  RouterFixture f(2);
+  trace::SetEnabled(true);
+  trace::Clear();
+  constexpr uint64_t kTraceId = 0x5EED;
+  const std::string response =
+      f.router->HandleLine(RequestLine(1, "entity_traced", kTraceId));
+  const std::string json = trace::DrainChromeTraceJson();
+  trace::SetEnabled(false);
+
+  std::string trace;
+  ASSERT_TRUE(JsonField(response, "trace_id", &trace)) << response;
+  EXPECT_EQ(trace, std::to_string(kTraceId));
+  const std::string id_arg =
+      "\"trace_id\": \"" + std::to_string(kTraceId) + "\"";
+  for (const char* span : {"router.request", "router.forward"}) {
+    const size_t at = json.find("\"name\": \"" + std::string(span) + "\"");
+    ASSERT_NE(at, std::string::npos) << span << " missing: " << json;
+    const size_t line_end = json.find('\n', at);
+    EXPECT_NE(json.substr(at, line_end - at).find(id_arg), std::string::npos)
+        << span << " not under the client's trace_id: " << json;
   }
 }
 

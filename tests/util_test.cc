@@ -88,6 +88,14 @@ TEST(StringUtilTest, JsonFieldDecodesEscapedQuotesAndBackslashes) {
   EXPECT_EQ(value, raw);
 }
 
+// The serve tool and the router read the client's trace id the same way.
+TEST(StringUtilTest, ParseTraceIdReadsDecimalAndHex) {
+  EXPECT_EQ(ParseTraceId("{\"trace_id\": 12345}"), 12345u);
+  EXPECT_EQ(ParseTraceId("{\"trace_id\": \"0x5EED\"}"), 0x5EEDu);
+  EXPECT_EQ(ParseTraceId("{\"id\": 7, \"entity\": \"e\"}"), 0u);
+  EXPECT_EQ(ParseTraceId("{\"trace_id\": \"abc\"}"), 0u);
+}
+
 // Responses echo a client's id through JsonField + JsonNumberOrString; the
 // line must stay valid JSON whatever the client sent.
 TEST(StringUtilTest, JsonNumberOrStringKeepsNumbers) {

@@ -171,14 +171,6 @@ struct ServeContext {
   int shard_index = -1;
 };
 
-/// Parses a client-supplied trace id: decimal or 0x-prefixed hex. Returns 0
-/// (= "generate one for me") on absence or garbage.
-uint64_t ParseTraceId(const std::string& line) {
-  std::string raw;
-  if (!JsonField(line, "trace_id", &raw)) return 0;
-  return std::strtoull(raw.c_str(), nullptr, 0);
-}
-
 /// Resolves one request line against the graph and answers it. Unknown
 /// entities/attributes come back as {"error": ...} instead of killing the
 /// connection. `{"cmd": "statusz"}` answers with the admin status document
