@@ -292,63 +292,41 @@ core::BatchPrediction StaticGraphRuntime::Predict(
     return out;
   }
 
-  std::optional<core::BatchPrediction> served =
-      PredictWarm(query, chains, stats);
-  return served ? *served : PredictGated(query, chains, stats);
+  if (std::optional<core::BatchPrediction> served =
+          Serve(query, chains, stats, /*gating=*/false)) {
+    return *served;
+  }
+  // A bucket waits for its first-use gate.
+  cf::MutexLock gate(gate_mu_);
+  CF_TRACE_SCOPE("plan.verify");
+  return *Serve(query, chains, stats, /*gating=*/true);
 }
 
-std::optional<core::BatchPrediction> StaticGraphRuntime::PredictWarm(
+std::optional<core::BatchPrediction> StaticGraphRuntime::Serve(
     const core::Query& query, const core::TreeOfChains& chains,
-    PredictStats* stats) const {
+    PredictStats* stats, bool gating) const {
+  const uint64_t gate_start_ns = gating ? trace::NowNs() : 0;
   const int64_t k = static_cast<int64_t>(chains.size());
+  // Under the gate lock both buckets are read afresh: an earlier gate may
+  // have settled or pinned them while this call waited.
   std::shared_ptr<Entry> reasoner_entry = Bucket({Program::kReasoner, k, 0});
   if (reasoner_entry == nullptr) return PlanCacheFull(query, chains);
-  const Lease reasoner(std::move(reasoner_entry));
+  Lease reasoner(std::move(reasoner_entry));
   // Checked per call so pinned buckets serve eagerly in parallel (the flag
   // is monotonic once ready).
   if (reasoner.eager_fallback()) return Eager(query, chains);
-  if (reasoner.executor() == nullptr) return std::nullopt;
+  std::shared_ptr<const Plan> reasoner_plan;
+  if (reasoner.executor() == nullptr) {
+    if (!gating) return std::nullopt;
+    reasoner_plan = std::make_shared<const Plan>(CompileReasonerPlan(
+        model_, k, options_.precision, options_.quant.get()));
+    reasoner.Start(reasoner_plan);
+  }
 
   // The table fills the reasoner's input rows; the encoder program runs
   // only over patterns it has not seen.
   float* rows = reasoner.executor()->rows();
   std::vector<int64_t> missed;  // stays unallocated when every pattern hits
-  const int64_t found = table_.Lookup(chains, rows, &missed);
-  if (!missed.empty()) {
-    const Misses misses = CollectMisses(chains, std::move(missed));
-    std::shared_ptr<Entry> encoder_entry = Bucket(EncoderKey(misses));
-    if (encoder_entry == nullptr) return PlanCacheFull(query, chains);
-    const Lease encoder(std::move(encoder_entry));
-    if (encoder.eager_fallback()) return Eager(query, chains);
-    if (encoder.executor() == nullptr) return std::nullopt;
-    Remember(misses, EncodeMisses(*encoder.executor(), misses, rows));
-  }
-  CountPatterns(found, k - found);
-  hits_->Increment();
-  if (stats != nullptr) stats->compiled = true;
-  return Denormalized(query, reasoner.executor()->RunReasoner(chains));
-}
-
-core::BatchPrediction StaticGraphRuntime::PredictGated(
-    const core::Query& query, const core::TreeOfChains& chains,
-    PredictStats* stats) const {
-  cf::MutexLock gate(gate_mu_);
-  CF_TRACE_SCOPE("plan.verify");
-  const uint64_t gate_start_ns = trace::NowNs();
-  const int64_t k = static_cast<int64_t>(chains.size());
-
-  // Re-read both buckets under the gate lock: an earlier gate may have
-  // settled or pinned them while this call waited.
-  Lease reasoner(Bucket({Program::kReasoner, k, 0}));
-  if (reasoner.eager_fallback()) return Eager(query, chains);
-  std::shared_ptr<const Plan> reasoner_plan;
-  if (reasoner.executor() == nullptr) {
-    reasoner_plan = std::make_shared<const Plan>(CompileReasonerPlan(
-        model_, k, options_.precision, options_.quant.get()));
-    reasoner.Start(reasoner_plan);
-  }
-  float* rows = reasoner.executor()->rows();
-  std::vector<int64_t> missed;
   const int64_t found = table_.Lookup(chains, rows, &missed);
   const Misses misses = CollectMisses(chains, std::move(missed));
   std::optional<Lease> encoder;
@@ -360,6 +338,7 @@ core::BatchPrediction StaticGraphRuntime::PredictGated(
     encoder.emplace(std::move(entry));
     if (encoder->eager_fallback()) return Eager(query, chains);
     if (encoder->executor() == nullptr) {
+      if (!gating) return std::nullopt;
       encoder_plan = std::make_shared<const Plan>(
           CompileEncoderPlan(model_, std::get<1>(key), std::get<2>(key),
                              options_.precision, options_.quant.get()));
@@ -369,7 +348,8 @@ core::BatchPrediction StaticGraphRuntime::PredictGated(
   CountPatterns(found, k - found);
 
   if (reasoner_plan == nullptr && encoder_plan == nullptr) {
-    // Both buckets were settled by the gate this call waited behind.
+    // Warm: both buckets settled (under the gate lock, by the gate this
+    // call waited behind).
     if (encoder) {
       Remember(misses, EncodeMisses(*encoder->executor(), misses, rows));
     }

@@ -178,16 +178,15 @@ class StaticGraphRuntime {
   /// Inserts the encoder program's rows into the pattern table.
   void Remember(const Misses& misses, const float* encoded) const;
   void CountPatterns(int64_t hits, int64_t misses) const;
-  /// Serves a request from settled buckets; nullopt when one of its buckets
-  /// still waits for its first-use gate. Holds no executor on return.
-  std::optional<core::BatchPrediction> PredictWarm(
-      const core::Query& query, const core::TreeOfChains& chains,
-      PredictStats* stats) const;
-  /// Serves a request whose reasoner or encoder bucket still waits for its
-  /// first-use gate. Gates run one at a time, under gate_mu_.
-  core::BatchPrediction PredictGated(const core::Query& query,
-                                     const core::TreeOfChains& chains,
-                                     PredictStats* stats) const;
+  /// Serves a non-empty request through its encoder and reasoner buckets.
+  /// Without `gating`, returns nullopt (holding no executor) when a bucket
+  /// still waits for its first-use gate; with it (the caller holds
+  /// gate_mu_, so gates run one at a time) compiles and verifies the new
+  /// buckets.
+  std::optional<core::BatchPrediction> Serve(const core::Query& query,
+                                             const core::TreeOfChains& chains,
+                                             PredictStats* stats,
+                                             bool gating) const;
   /// The encoder gate: op skeleton, and at fp64 the rows bitwise, against
   /// ChainEncoder::EndTokenRows over the same patterns.
   bool VerifyEncoder(const Misses& misses, const Plan& plan,
