@@ -65,9 +65,9 @@ struct QuantStore {
 
 /// The frozen Linears the static-graph compiler lowers to kGemm steps, in a
 /// stable canonical order with dotted names. This walk is the single source
-/// of truth shared by BuildQuantStore (save time) and CompilePlan (load
-/// time); both sides iterate it so the store rows line up with the plan's
-/// weight pointers by construction.
+/// of truth shared by BuildQuantStore (save time) and CompileEncoderPlan /
+/// CompileReasonerPlan (load time); both sides iterate it so the store rows
+/// line up with the plans' weight pointers by construction.
 std::vector<std::pair<std::string, const tensor::nn::Linear*>>
 QuantizableLinears(const core::ChainsFormerModel& model);
 
