@@ -50,9 +50,9 @@ float* PatternTable::Row(int64_t row) const {
          (row % kBlockRows) * dim_;
 }
 
-size_t PatternTable::Slot(std::span<const int32_t> ids) const {
+size_t PatternTable::Slot(std::span<const int32_t> ids, size_t hash) const {
   const size_t mask = slots_.size() - 1;
-  for (size_t i = HashIds(ids) & mask;; i = (i + 1) & mask) {
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
     if (slots_[i] == 0) return i;
     const size_t row = slots_[i] - 1;
     const auto begin = key_ids_.begin() + key_begin_[row];
@@ -68,24 +68,42 @@ void PatternTable::GrowIndex() {
         key_ids_.data() + key_begin_[static_cast<size_t>(row)],
         key_begin_[static_cast<size_t>(row) + 1] -
             key_begin_[static_cast<size_t>(row)]);
-    slots_[Slot(ids)] = static_cast<uint32_t>(row + 1);
+    slots_[Slot(ids, HashIds(ids))] = static_cast<uint32_t>(row + 1);
   }
 }
 
 int64_t PatternTable::Lookup(const core::TreeOfChains& chains, float* rows,
-                             std::vector<int64_t>* missing) const {
+                             PatternMisses* missing) const {
   int64_t found = 0;
+  std::vector<size_t> missed_hash;  // per distinct missed pattern
   cf::MutexLock lock(mu_);
   for (size_t i = 0; i < chains.size(); ++i) {
-    const uint32_t slot =
-        slots_.empty() ? 0 : slots_[Slot(PatternKey(chains[i]).ids())];
-    if (slot == 0) {
-      missing->push_back(static_cast<int64_t>(i));
+    const PatternKey key(chains[i]);
+    const size_t hash = HashIds(key.ids());
+    const uint32_t slot = slots_.empty() ? 0 : slots_[Slot(key.ids(), hash)];
+    if (slot != 0) {
+      std::memcpy(rows + static_cast<int64_t>(i) * dim_, Row(slot - 1),
+                  static_cast<size_t>(dim_) * sizeof(float));
+      ++found;
       continue;
     }
-    std::memcpy(rows + static_cast<int64_t>(i) * dim_, Row(slot - 1),
-                static_cast<size_t>(dim_) * sizeof(float));
-    ++found;
+    // Group the miss with an earlier one of the same pattern: equal hashes
+    // first, then the exact ids.
+    size_t u = 0;
+    while (u < missed_hash.size() &&
+           !(missed_hash[u] == hash &&
+             std::ranges::equal(
+                 key.ids(),
+                 PatternKey(chains[static_cast<size_t>(missing->first[u])])
+                     .ids()))) {
+      ++u;
+    }
+    if (u == missed_hash.size()) {
+      missed_hash.push_back(hash);
+      missing->first.push_back(static_cast<int64_t>(i));
+    }
+    missing->chain.push_back(static_cast<int64_t>(i));
+    missing->pattern.push_back(static_cast<int64_t>(u));
   }
   return found;
 }
@@ -98,7 +116,8 @@ int64_t PatternTable::Insert(std::span<const core::RAChain* const> chains,
     const int64_t row = RowsLocked();
     if (row >= capacity_rows_) break;
     const PatternKey key(*chains[i]);
-    if (!slots_.empty() && slots_[Slot(key.ids())] != 0) continue;
+    const size_t hash = HashIds(key.ids());
+    if (!slots_.empty() && slots_[Slot(key.ids(), hash)] != 0) continue;
     if (2 * static_cast<size_t>(row + 1) > slots_.size()) GrowIndex();
     if (row % kBlockRows == 0) {
       blocks_.push_back(
@@ -106,7 +125,7 @@ int64_t PatternTable::Insert(std::span<const core::RAChain* const> chains,
     }
     std::memcpy(Row(row), rows + static_cast<int64_t>(i) * dim_,
                 static_cast<size_t>(dim_) * sizeof(float));
-    slots_[Slot(key.ids())] = static_cast<uint32_t>(row + 1);
+    slots_[Slot(key.ids(), hash)] = static_cast<uint32_t>(row + 1);
     key_ids_.insert(key_ids_.end(), key.ids().begin(), key.ids().end());
     key_begin_.push_back(static_cast<uint32_t>(key_ids_.size()));
     ++added;

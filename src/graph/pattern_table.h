@@ -31,6 +31,13 @@ class PatternKey {
   size_t size_ = 0;
 };
 
+/// The chains a PatternTable::Lookup did not find, grouped by pattern.
+struct PatternMisses {
+  std::vector<int64_t> chain;    // ToC index of every chain not found
+  std::vector<int64_t> pattern;  // chain[i]'s pattern: an index into `first`
+  std::vector<int64_t> first;    // ToC index of each missed pattern's first chain
+};
+
 /// A bounded map from chain pattern to its end-token row e_c (`dim`
 /// floats), filled by the static-graph encoder program (DESIGN §6f). A
 /// pattern's row has the same bits in any Tree of Chains, at any k and any
@@ -54,11 +61,11 @@ class PatternTable {
   PatternTable& operator=(const PatternTable&) = delete;
 
   /// Copies the row of every chain whose pattern is present to
-  /// rows + i * dim, and appends the index of every other chain to
-  /// *missing. Returns the number of chains found. Allocation-free when
-  /// every pattern is present.
+  /// rows + i * dim, and appends every other chain to *missing, which
+  /// starts empty, grouped by pattern. Returns the number of chains found.
+  /// Allocation-free when every pattern is present.
   int64_t Lookup(const core::TreeOfChains& chains, float* rows,
-                 std::vector<int64_t>* missing) const;
+                 PatternMisses* missing) const;
 
   /// Inserts rows + i * dim under chains[i]'s pattern for every chain whose
   /// pattern is absent, while the table has room. Returns the rows added.
@@ -76,9 +83,10 @@ class PatternTable {
   static constexpr int64_t kBlockRows = 64;
 
   int64_t RowsLocked() const CF_REQUIRES(mu_);
-  /// Index slot holding `ids`, or the empty slot where they would go.
-  /// Requires a non-empty index.
-  size_t Slot(std::span<const int32_t> ids) const CF_REQUIRES(mu_);
+  /// Index slot holding `ids` (whose HashIds is `hash`), or the empty slot
+  /// where they would go. Requires a non-empty index.
+  size_t Slot(std::span<const int32_t> ids, size_t hash) const
+      CF_REQUIRES(mu_);
   /// Doubles the index and re-slots every row.
   void GrowIndex() CF_REQUIRES(mu_);
   float* Row(int64_t row) const CF_REQUIRES(mu_);

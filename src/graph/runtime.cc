@@ -192,19 +192,14 @@ StaticGraphRuntime::BucketKey StaticGraphRuntime::EncoderKey(
 }
 
 StaticGraphRuntime::Misses StaticGraphRuntime::CollectMisses(
-    const core::TreeOfChains& chains, std::vector<int64_t> missed) {
+    const core::TreeOfChains& chains, PatternMisses missed) {
   Misses out;
-  out.chain = std::move(missed);
-  out.slot.reserve(out.chain.size());
-  for (int64_t i : out.chain) {
+  out.missed = std::move(missed);
+  out.unique.reserve(out.missed.first.size());
+  for (int64_t i : out.missed.first) {
     const core::RAChain& c = chains[static_cast<size_t>(i)];
-    size_t u = 0;
-    while (u < out.unique.size() && !out.unique[u]->SamePattern(c)) ++u;
-    if (u == out.unique.size()) {
-      out.unique.push_back(&c);
-      out.max_tokens = std::max(out.max_tokens, c.length() + 3);
-    }
-    out.slot.push_back(static_cast<int64_t>(u));
+    out.unique.push_back(&c);
+    out.max_tokens = std::max(out.max_tokens, c.length() + 3);
   }
   return out;
 }
@@ -214,8 +209,9 @@ const float* StaticGraphRuntime::EncodeMisses(PlanExecutor& encoder,
                                               float* rows) const {
   const float* encoded = encoder.RunEncoder(misses.unique);
   const int64_t d = table_.dim();
-  for (size_t i = 0; i < misses.chain.size(); ++i) {
-    std::memcpy(rows + misses.chain[i] * d, encoded + misses.slot[i] * d,
+  const PatternMisses& missed = misses.missed;
+  for (size_t i = 0; i < missed.chain.size(); ++i) {
+    std::memcpy(rows + missed.chain[i] * d, encoded + missed.pattern[i] * d,
                 static_cast<size_t>(d) * sizeof(float));
   }
   return encoded;
@@ -326,12 +322,12 @@ std::optional<core::BatchPrediction> StaticGraphRuntime::Serve(
   // The table fills the reasoner's input rows; the encoder program runs
   // only over patterns it has not seen.
   float* rows = reasoner.executor()->rows();
-  std::vector<int64_t> missed;  // stays unallocated when every pattern hits
+  PatternMisses missed;  // stays unallocated when every pattern hits
   const int64_t found = table_.Lookup(chains, rows, &missed);
   const Misses misses = CollectMisses(chains, std::move(missed));
   std::optional<Lease> encoder;
   std::shared_ptr<const Plan> encoder_plan;
-  if (!misses.chain.empty()) {
+  if (!misses.unique.empty()) {
     const BucketKey key = EncoderKey(misses);
     std::shared_ptr<Entry> entry = Bucket(key);
     if (entry == nullptr) return PlanCacheFull(query, chains);

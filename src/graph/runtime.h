@@ -150,12 +150,11 @@ class StaticGraphRuntime {
 
   class Lease;
 
-  /// The distinct patterns among one request's table misses.
+  /// One request's table misses and the encoder program input they make.
   struct Misses {
-    std::vector<int64_t> chain;  // indices of the chains that missed
-    std::vector<const core::RAChain*> unique;  // encoder program input
-    std::vector<int64_t> slot;   // chain[i]'s row in the encoder output
-    int64_t max_tokens = 0;      // longest token sequence among unique
+    PatternMisses missed;  // missed.pattern[i]: chain's row in the output
+    std::vector<const core::RAChain*> unique;  // one chain per pattern
+    int64_t max_tokens = 0;  // longest token sequence among unique
   };
 
   core::BatchPrediction Eager(const core::Query& query,
@@ -170,7 +169,7 @@ class StaticGraphRuntime {
   std::shared_ptr<Entry> Bucket(const BucketKey& key) const;
   static BucketKey EncoderKey(const Misses& misses);
   static Misses CollectMisses(const core::TreeOfChains& chains,
-                              std::vector<int64_t> missed);
+                              PatternMisses missed);
   /// Runs the encoder program over the distinct missed patterns and copies
   /// each missed chain's row into `rows`. Returns the program's rows.
   const float* EncodeMisses(PlanExecutor& encoder, const Misses& misses,

@@ -582,9 +582,10 @@ TEST(PatternTableTest, FullTableAnswersAndNeverEvicts) {
   const TreeOfChains ask = {MakeChain(1, {4, 3}, 2, -5.0), fresh,
                             MakeChain(1, {3, 4}, 2, 99.0)};
   std::vector<float> out(3 * kDim, -1.0f);
-  std::vector<int64_t> missing;
+  PatternMisses missing;
   EXPECT_EQ(table.Lookup(ask, out.data(), &missing), 2);
-  EXPECT_EQ(missing, std::vector<int64_t>{1});
+  EXPECT_EQ(missing.chain, std::vector<int64_t>{1});
+  EXPECT_EQ(missing.first, std::vector<int64_t>{1});
   EXPECT_EQ(std::vector<float>(out.begin(), out.begin() + kDim),
             std::vector<float>(rows.begin() + kDim, rows.end()));
   EXPECT_EQ(std::vector<float>(out.begin() + kDim, out.begin() + 2 * kDim),
@@ -592,6 +593,33 @@ TEST(PatternTableTest, FullTableAnswersAndNeverEvicts) {
       << "a missed chain's row must be left alone";
   EXPECT_EQ(std::vector<float>(out.begin() + 2 * kDim, out.end()),
             std::vector<float>(rows.begin(), rows.begin() + kDim));
+}
+
+// A lookup groups its misses by pattern, so the encoder program runs once
+// per distinct pattern: chains that differ only in value share a group,
+// another source attribute or reordered relations make another pattern.
+TEST(PatternTableTest, MissesAreGroupedByPattern) {
+  PatternTable table(/*dim=*/2, 1 << 10);
+  const TreeOfChains ask = {
+      MakeChain(1, {3, 4}, 2, 1.0), MakeChain(1, {4, 3}, 2, 1.0),
+      MakeChain(1, {3, 4}, 2, 7.0), MakeChain(5, {3, 4}, 2, 1.0),
+      MakeChain(1, {4, 3}, 2, -2.0)};
+  std::vector<float> out(ask.size() * 2, 0.0f);
+  PatternMisses missing;
+  EXPECT_EQ(table.Lookup(ask, out.data(), &missing), 0);
+  EXPECT_EQ(missing.chain, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(missing.first, (std::vector<int64_t>{0, 1, 3}));
+  EXPECT_EQ(missing.pattern, (std::vector<int64_t>{0, 1, 0, 2, 1}));
+
+  // Once the first pattern is held, only the other two groups remain.
+  const std::vector<float> row = {1, 2};
+  const std::vector<const core::RAChain*> held = {&ask[2]};
+  EXPECT_EQ(table.Insert(held, row.data()), 1);
+  PatternMisses rest;
+  EXPECT_EQ(table.Lookup(ask, out.data(), &rest), 2);
+  EXPECT_EQ(rest.chain, (std::vector<int64_t>{1, 3, 4}));
+  EXPECT_EQ(rest.first, (std::vector<int64_t>{1, 3}));
+  EXPECT_EQ(rest.pattern, (std::vector<int64_t>{0, 1, 0}));
 }
 
 // Keys longer than the inline buffer spill to the heap and stay exact.
@@ -612,9 +640,9 @@ TEST(PatternTableTest, LongChainsKeepExactKeys) {
   const std::vector<const core::RAChain*> a_ptr = {&a};
   EXPECT_EQ(table.Insert(a_ptr, row.data()), 1);
   std::vector<float> out(4, 0.0f);
-  std::vector<int64_t> missing;
+  PatternMisses missing;
   EXPECT_EQ(table.Lookup({a, b}, out.data(), &missing), 1);
-  EXPECT_EQ(missing, std::vector<int64_t>{1});
+  EXPECT_EQ(missing.chain, std::vector<int64_t>{1});
   EXPECT_EQ(out[0], 3.0f);
   EXPECT_EQ(out[1], 4.0f);
 }
