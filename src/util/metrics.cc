@@ -79,10 +79,92 @@ int64_t ValueByName(const std::vector<std::pair<std::string, int64_t>>& values,
 
 }  // namespace
 
+namespace internal {
+namespace {
+
+// Bit i set = index i held by a live thread.
+std::atomic<uint32_t> g_taken_shards{0};
+static_assert(kThreadShards <= 32, "g_taken_shards holds one bit per index");
+
+/// Gives the thread's index back when the thread exits. Updates the thread
+/// makes after this (from later thread-exit code) go to the shared shards.
+struct ShardRelease {
+  ~ShardRelease() {
+    const int index = t_thread_shard;
+    t_thread_shard = -1;
+    if (index >= 0) {
+      g_taken_shards.fetch_and(~(uint32_t{1} << index),
+                               std::memory_order_release);
+    }
+  }
+};
+
+}  // namespace
+
+int AssignThreadShard() {
+  uint32_t taken = g_taken_shards.load(std::memory_order_relaxed);
+  int index = -1;
+  while (~taken != 0) {
+    const int free = std::countr_one(taken);
+    // acquire: the shards of a reused index were written by its previous
+    // holder, whose release published them.
+    if (g_taken_shards.compare_exchange_weak(taken,
+                                             taken | (uint32_t{1} << free),
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed)) {
+      index = free;
+      break;
+    }
+  }
+  t_thread_shard = index;
+  if (index >= 0) {
+    thread_local ShardRelease release;
+    (void)release;
+  }
+  return index;
+}
+
+int64_t CounterCells::Total() const {
+  int64_t total = 0;
+  shards_.ForEach([&](const CounterShard& s) {
+    total += s.value.load(std::memory_order_relaxed);
+  });
+  return total;
+}
+
+void HistogramCells::ObserveShared(int b, double v) {
+  HistogramShard& s = shards_.shared();
+  s.buckets[b].fetch_add(1, std::memory_order_relaxed);
+  AtomicAdd(s.sum, v);
+  AtomicMin(s.min, v);
+  AtomicMax(s.max, v);
+}
+
+void HistogramCells::AddBucketsTo(int64_t* out) const {
+  shards_.ForEach([&](const HistogramShard& s) {
+    for (int i = 0; i < kHistogramBuckets; ++i) {
+      out[i] += s.buckets[i].load(std::memory_order_relaxed);
+    }
+  });
+}
+
+void HistogramCells::Stats(double* sum, double* min, double* max) const {
+  *sum = 0.0;
+  *min = std::numeric_limits<double>::infinity();
+  *max = -std::numeric_limits<double>::infinity();
+  shards_.ForEach([&](const HistogramShard& s) {
+    *sum += s.sum.load(std::memory_order_relaxed);
+    *min = std::min(*min, s.min.load(std::memory_order_relaxed));
+    *max = std::max(*max, s.max.load(std::memory_order_relaxed));
+  });
+}
+
+}  // namespace internal
+
 int64_t TimeWheel::NowMs() {
-  // Shares the tracer's steady-clock base so serve-path instrumentation can
-  // feed timestamps it already holds into the *AtMs updates without a
-  // second clock read, and without ever mixing wheel timebases.
+  // Shares the tracer's clock base so serve-path instrumentation can feed
+  // timestamps it already holds into the *AtMs updates without a second
+  // clock read, and without ever mixing wheel timebases.
   return static_cast<int64_t>(trace::NowNs() / 1'000'000);
 }
 
@@ -90,51 +172,60 @@ TimeWheel::TimeWheel(int cells, int num_slots, int64_t slot_millis)
     : cells_(std::max(1, cells)),
       num_slots_(std::max(1, num_slots)),
       slot_millis_(std::max<int64_t>(1, slot_millis)),
-      epochs_(static_cast<size_t>(num_slots_)),
-      sums_(static_cast<size_t>(num_slots_) * static_cast<size_t>(cells_)) {
-  for (auto& epoch : epochs_) epoch.store(-1, std::memory_order_relaxed);
-}
+      epochs_(static_cast<size_t>(num_slots_), kNeverOpened),
+      starts_(static_cast<size_t>(num_slots_) * static_cast<size_t>(cells_),
+              0) {}
 
-void TimeWheel::AddAtMs(int cell, int64_t delta, int64_t now_ms) {
+void TimeWheel::Open(int64_t now_ms, const int64_t* totals) {
   const int64_t epoch = now_ms / slot_millis_;
+  cf::MutexLock lock(mu_);
+  if (epoch <= newest_) return;
   const size_t slot = static_cast<size_t>(epoch % num_slots_);
-  std::atomic<int64_t>* sums = &sums_[slot * static_cast<size_t>(cells_)];
-  if (epochs_[slot].load(std::memory_order_acquire) != epoch) {
-    cf::MutexLock lock(rotate_mu_);
-    if (epochs_[slot].load(std::memory_order_relaxed) != epoch) {
-      for (int i = 0; i < cells_; ++i) {
-        sums[i].store(0, std::memory_order_relaxed);
-      }
-      epochs_[slot].store(epoch, std::memory_order_release);
-    }
-  }
-  sums[cell].fetch_add(delta, std::memory_order_relaxed);
+  epochs_[slot] = epoch;
+  std::copy(totals, totals + cells_,
+            starts_.begin() +
+                static_cast<std::ptrdiff_t>(slot * static_cast<size_t>(cells_)));
+  newest_ = epoch;
+  next_open_ms_.store((epoch + 1) * slot_millis_, std::memory_order_relaxed);
 }
 
-void TimeWheel::MergeAtMs(int64_t now_ms, int64_t* out) const {
-  const int64_t current_epoch = now_ms / slot_millis_;
-  const int64_t oldest_live = current_epoch - num_slots_ + 1;
+const int64_t* TimeWheel::OldestStartLocked(int64_t now_ms) const {
+  const int64_t current = now_ms / slot_millis_;
+  const int64_t oldest_live = current - num_slots_ + 1;
+  size_t best = epochs_.size();
   for (size_t slot = 0; slot < epochs_.size(); ++slot) {
-    const int64_t epoch = epochs_[slot].load(std::memory_order_acquire);
-    if (epoch < oldest_live || epoch > current_epoch) continue;
-    const std::atomic<int64_t>* sums =
-        &sums_[slot * static_cast<size_t>(cells_)];
-    for (int i = 0; i < cells_; ++i) {
-      out[i] += sums[i].load(std::memory_order_relaxed);
-    }
+    const int64_t epoch = epochs_[slot];
+    if (epoch < oldest_live || epoch > current) continue;
+    if (best == epochs_.size() || epoch < epochs_[best]) best = slot;
   }
+  if (best == epochs_.size()) return nullptr;
+  return starts_.data() + best * static_cast<size_t>(cells_);
+}
+
+void CounterWindow::OpenSlot(int64_t now_ms) {
+  const int64_t total = cells_.Total();
+  Open(now_ms, &total);
+}
+
+int64_t CounterWindow::SumAtMs(int64_t now_ms) const {
+  int64_t sum = 0;
+  WindowAtMs(now_ms, [&](int64_t* out) { *out += cells_.Total(); }, &sum);
+  return sum;
 }
 
 HistogramWindow::HistogramWindow(int num_slots, int64_t slot_millis)
     : TimeWheel(Histogram::kNumBuckets, num_slots, slot_millis) {}
 
-void HistogramWindow::ObserveAtMs(double v, int64_t now_ms) {
-  AddAtMs(Histogram::BucketIndex(v), 1, now_ms);
+void HistogramWindow::OpenSlot(int64_t now_ms) {
+  int64_t totals[Histogram::kNumBuckets] = {};
+  cells_.AddBucketsTo(totals);
+  Open(now_ms, totals);
 }
 
 WindowedPercentiles HistogramWindow::SnapshotAtMs(int64_t now_ms) const {
   int64_t merged[Histogram::kNumBuckets] = {};
-  MergeAtMs(now_ms, merged);
+  WindowAtMs(
+      now_ms, [&](int64_t* out) { cells_.AddBucketsTo(out); }, merged);
   WindowedPercentiles out;
   for (int i = 0; i < Histogram::kNumBuckets; ++i) {
     out.count += merged[i];
@@ -150,24 +241,16 @@ WindowedPercentiles HistogramWindow::SnapshotAtMs(int64_t now_ms) const {
   return out;
 }
 
-int Histogram::BucketIndex(double v) {
-  if (!(v > 1.0)) return 0;  // v <= 1, non-finite negatives, NaN
-  const int e = std::ilogb(v);  // floor(log2 v); v > 1 implies e >= 0
-  // v lies in [2^e, 2^(e+1)); bucket i covers (2^(i-1), 2^i], so an exact
-  // power of two belongs to bucket e and everything above it to e + 1.
-  const int idx = v == std::ldexp(1.0, e) ? e : e + 1;
-  return std::min(idx, kNumBuckets - 1);
-}
+int Histogram::BucketIndex(double v) { return internal::BucketOf(v); }
 
 double Histogram::UpperBound(int i) { return std::ldexp(1.0, i); }
 
-void Histogram::ObserveAtMs(double v, int64_t now_ms) {
-  buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(sum_, v);
-  AtomicMin(min_, v);
-  AtomicMax(max_, v);
-  if (window_ != nullptr) window_->ObserveAtMs(v, now_ms);
+int64_t Histogram::Count() const {
+  int64_t buckets[kNumBuckets] = {};
+  cells().AddBucketsTo(buckets);
+  int64_t count = 0;
+  for (int64_t n : buckets) count += n;
+  return count;
 }
 
 int64_t MetricsSnapshot::CounterValue(const std::string& name) const {
@@ -250,19 +333,22 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, h] : histograms_) {
     HistogramSnapshot hs;
     hs.name = name;
-    hs.count = h->count_.load(std::memory_order_relaxed);
-    hs.sum = h->sum_.load(std::memory_order_relaxed);
-    hs.min = hs.count > 0 ? h->min_.load(std::memory_order_relaxed) : 0.0;
-    hs.max = hs.count > 0 ? h->max_.load(std::memory_order_relaxed) : 0.0;
+    int64_t buckets[Histogram::kNumBuckets] = {};
+    h->cells().AddBucketsTo(buckets);
     for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-      const int64_t n = h->buckets_[i].load(std::memory_order_relaxed);
-      if (n == 0) continue;
+      if (buckets[i] == 0) continue;
+      hs.count += buckets[i];
       hs.buckets.push_back(
           {i == Histogram::kNumBuckets - 1
                ? std::numeric_limits<double>::infinity()
                : Histogram::UpperBound(i),
-           n});
+           buckets[i]});
     }
+    double min = 0.0;
+    double max = 0.0;
+    h->cells().Stats(&hs.sum, &min, &max);
+    hs.min = hs.count > 0 ? min : 0.0;
+    hs.max = hs.count > 0 ? max : 0.0;
     snap.histograms.push_back(std::move(hs));
     if (const HistogramWindow* w = h->window()) {
       snap.window.seconds = std::max(snap.window.seconds, w->WindowSeconds());

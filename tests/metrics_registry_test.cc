@@ -1,9 +1,10 @@
-// Tests for the process-wide metrics registry: lock-free counter semantics
-// under contention, power-of-two histogram bucketing, and stable JSON
-// serialization.
+// Tests for the process-wide metrics registry: exact per-thread-sharded
+// counts under contention, power-of-two histogram bucketing, and stable
+// JSON serialization.
 
 #include "util/metrics.h"
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -55,14 +56,66 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsSumExactly) {
   EXPECT_EQ(counter->Value(), kThreads * kPerThread);
   EXPECT_EQ(hist->Count(), kThreads * kPerThread);
 
-  // Sum/min/max survive the CAS loops exactly: every observed value is an
-  // integer 1..8, each appearing kPerThread times.
+  // Sum/min/max merge exactly across the per-thread shards: every observed
+  // value is an integer 1..8, each appearing kPerThread times.
   const MetricsSnapshot snap = reg.Snapshot();
   ASSERT_EQ(snap.histograms.size(), 1u);
   const HistogramSnapshot& h = snap.histograms[0];
   EXPECT_DOUBLE_EQ(h.min, 1.0);
   EXPECT_DOUBLE_EQ(h.max, 8.0);
   EXPECT_DOUBLE_EQ(h.sum, kPerThread * (1.0 + 2 + 3 + 4 + 5 + 6 + 7 + 8));
+}
+
+// More live threads than shard indices: the threads left without one add
+// into the shared shard atomically, the rest into their own; a later wave
+// of threads reuses the indices the first released. Every total stays
+// exact, windowed or not.
+TEST(MetricsRegistryTest, MoreThreadsThanShardsSumExactly) {
+  MetricsRegistry reg;
+  Counter* counter = reg.GetCounter("many");
+  Counter* windowed = reg.GetCounter("many_windowed", Window::kSliding);
+  Histogram* hist = reg.GetHistogram("many_hist", Window::kSliding);
+  constexpr int kThreads = internal::kThreadShards + 8;
+  constexpr int kLaterThreads = 4;
+  constexpr int kPerThread = 2000;
+  auto work = [&](int t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      counter->Increment();
+      windowed->Increment();
+      hist->Observe(static_cast<double>(t + 1));
+    }
+  };
+  std::atomic<int> started{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      // Every thread is alive before any updates, so some find no index.
+      started.fetch_add(1, std::memory_order_relaxed);
+      while (started.load(std::memory_order_relaxed) < kThreads) {
+        std::this_thread::yield();
+      }
+      work(t);
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int t = 0; t < kLaterThreads; ++t) std::thread(work, t).join();
+
+  constexpr int64_t kTotal = (kThreads + kLaterThreads) * kPerThread;
+  EXPECT_EQ(counter->Value(), kTotal);
+  EXPECT_EQ(windowed->Value(), kTotal);
+  EXPECT_EQ(hist->Count(), kTotal);
+  const MetricsSnapshot snap = reg.Snapshot();
+  EXPECT_EQ(snap.window.CounterSum("many_windowed"), kTotal);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  double sum = 0.0;
+  for (int t = 0; t < kThreads; ++t) sum += kPerThread * (t + 1.0);
+  for (int t = 0; t < kLaterThreads; ++t) sum += kPerThread * (t + 1.0);
+  EXPECT_DOUBLE_EQ(snap.histograms[0].sum, sum);
+  EXPECT_DOUBLE_EQ(snap.histograms[0].min, 1.0);
+  EXPECT_DOUBLE_EQ(snap.histograms[0].max, kThreads);
+  ASSERT_EQ(snap.window.histograms.size(), 1u);
+  EXPECT_EQ(snap.window.histograms[0].second.count, kTotal);
 }
 
 TEST(MetricsRegistryTest, GaugeLastWriteWins) {
