@@ -2,15 +2,24 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/logging.h"
 #include "util/sync.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <cpuid.h>
+#define CF_TRACE_CLOCK_TSC 1
+#else
+#define CF_TRACE_CLOCK_TSC 0
+#endif
 
 namespace chainsformer {
 namespace trace {
@@ -72,6 +81,86 @@ ThreadBuffer& LocalBuffer() {
 
 thread_local int t_depth = 0;
 
+#if CF_TRACE_CLOCK_TSC
+/// Whether the CPU's time-stamp counter runs at a constant rate in every
+/// power state (CPUID invariant TSC) and the kernel keeps its own time
+/// with it, which Linux does only after checking that the counters of all
+/// CPUs agree.
+bool KernelKeepsTimeWithTsc() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(0x80000007, &eax, &ebx, &ecx, &edx) == 0 ||
+      (edx & (1u << 8)) == 0) {
+    return false;
+  }
+  std::ifstream in(
+      "/sys/devices/system/clocksource/clocksource0/current_clocksource");
+  std::string source;
+  return static_cast<bool>(in >> source) && source == "tsc";
+}
+#endif
+
+/// NowNs's clock: nanoseconds since the first call. Where the kernel keeps
+/// time with the invariant TSC, construction calibrates the counter's rate
+/// against steady_clock over 2 ms and publishes it, and NowNs reads the
+/// counter inline from then on. Elsewhere every read is steady_clock's.
+/// Both are monotonic and agree across threads.
+class Clock {
+ public:
+  Clock() : base_(std::chrono::steady_clock::now()) {
+#if CF_TRACE_CLOCK_TSC
+    if (!KernelKeepsTimeWithTsc()) return;
+    std::chrono::steady_clock::time_point start;
+    uint64_t start_ticks = 0;
+    ReadPair(&start, &start_ticks);
+    std::chrono::steady_clock::time_point end;
+    uint64_t end_ticks = 0;
+    do {
+      ReadPair(&end, &end_ticks);
+    } while (end - start < std::chrono::milliseconds(2));
+    if (end_ticks <= start_ticks) return;
+    const double ns_per_tick =
+        static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+                .count()) /
+        static_cast<double>(end_ticks - start_ticks);
+    const auto q32 = static_cast<uint64_t>(std::ldexp(ns_per_tick, 32));
+    if (q32 == 0) return;
+    // NowNs reads the counter inline from here on, zero at start.
+    internal::g_base_tick.store(start_ticks, std::memory_order_relaxed);
+    internal::g_ns_per_tick_q32.store(q32, std::memory_order_release);
+#endif
+  }
+
+  uint64_t Now() const {
+    if (internal::g_ns_per_tick_q32.load(std::memory_order_acquire) != 0) {
+      return NowNs();
+    }
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - base_)
+            .count());
+  }
+
+ private:
+#if CF_TRACE_CLOCK_TSC
+  /// A counter read and the steady_clock instant it happened at (the
+  /// midpoint of two reads around it), retried while something such as a
+  /// preemption separates the two by more than 250 ns.
+  static void ReadPair(std::chrono::steady_clock::time_point* at,
+                       uint64_t* ticks) {
+    for (int attempt = 0; attempt < 16; ++attempt) {
+      const auto before = std::chrono::steady_clock::now();
+      *ticks = __builtin_ia32_rdtsc();
+      const auto after = std::chrono::steady_clock::now();
+      *at = before + (after - before) / 2;
+      if (after - before < std::chrono::nanoseconds(250)) return;
+    }
+  }
+#endif
+
+  const std::chrono::steady_clock::time_point base_;
+};
+
 std::string EscapeJson(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -98,25 +187,21 @@ void Record(const char* name, uint64_t start_ns, uint64_t end_ns, int depth,
 
 }  // namespace
 
-uint64_t NowNs() {
-  // Steady-clock ticks relative to a process-global base, so Chrome's
-  // timeline starts near zero.
-  static const std::chrono::steady_clock::time_point base =
-      std::chrono::steady_clock::now();
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - base)
-          .count());
+namespace internal {
+
+std::atomic<uint64_t> g_ns_per_tick_q32{0};
+std::atomic<uint64_t> g_base_tick{0};
+
+uint64_t NowNsSlow() {
+  static const Clock clock;
+  return clock.Now();
 }
 
-void EmitSpan(const char* name, uint64_t start_ns, uint64_t end_ns,
-              const SpanAnnotations& ann) {
-  if (!Enabled()) return;
+void RecordSpan(const char* name, uint64_t start_ns, uint64_t end_ns,
+                const SpanAnnotations& ann) {
   if (end_ns < start_ns) end_ns = start_ns;
   Record(name, start_ns, end_ns, t_depth, ann);
 }
-
-namespace internal {
 
 void BeginSpan(const char* name, uint64_t* start_ns, int* depth) {
   (void)name;

@@ -23,18 +23,50 @@ namespace trace {
 /// Spans each thread can buffer before the oldest are overwritten.
 constexpr size_t kRingCapacity = 1 << 14;
 
+struct SpanAnnotations;
+
 namespace internal {
 extern std::atomic<bool> g_enabled;
 
 /// Out-of-line slow path used only while tracing is enabled.
 void BeginSpan(const char* name, uint64_t* start_ns, int* depth);
 void EndSpan(const char* name, uint64_t start_ns, int depth);
+void RecordSpan(const char* name, uint64_t start_ns, uint64_t end_ns,
+                const SpanAnnotations& ann);
+
+/// NowNs's time-stamp-counter scale, published by its first call once it
+/// has calibrated one: ns per tick in 32.32 fixed point (0 while unset, and
+/// for good where the clock reads steady_clock) and the tick count at time
+/// zero.
+extern std::atomic<uint64_t> g_ns_per_tick_q32;
+extern std::atomic<uint64_t> g_base_tick;
+/// The first call (calibration) and the steady_clock fallback.
+uint64_t NowNsSlow();
 }  // namespace internal
 
-/// Nanoseconds on the process-local steady clock (zero near process start;
-/// the same clock every span timestamp uses). Cheap enough to call
-/// unconditionally on the serve hot path.
-uint64_t NowNs();
+/// Nanoseconds on the process-local trace clock (zero near process start;
+/// the same clock every span timestamp uses): the invariant time-stamp
+/// counter where the kernel keeps time with it, steady_clock elsewhere;
+/// monotonic either way. A counter read is one rdtsc and a multiply, about
+/// half a vDSO clock_gettime, and the serve path reads this clock at every
+/// phase boundary of every request.
+inline uint64_t NowNs() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  const uint64_t ns_per_tick_q32 =
+      internal::g_ns_per_tick_q32.load(std::memory_order_acquire);
+  if (ns_per_tick_q32 != 0) {
+    const int64_t ticks = static_cast<int64_t>(
+        __builtin_ia32_rdtsc() -
+        internal::g_base_tick.load(std::memory_order_relaxed));
+    return ticks > 0 ? static_cast<uint64_t>(
+                           (static_cast<unsigned __int128>(ticks) *
+                            ns_per_tick_q32) >>
+                           32)
+                     : 0;
+  }
+#endif
+  return internal::NowNsSlow();
+}
 
 /// Request-scoped facts attached to a span emitted with EmitSpan. Fields at
 /// their defaults are omitted from the drained JSON. `cause` must be a
@@ -47,28 +79,32 @@ struct SpanAnnotations {
   const char* cause = nullptr;   // degradation cause ("deadline", ...)
 };
 
+/// Whether spans are being collected (SetEnabled).
+inline bool Enabled() {
+  return internal::g_enabled.load(std::memory_order_relaxed);
+}
+
 /// Records a completed span from explicit timestamps taken with NowNs().
 /// Used where a scope cannot bracket the phase being traced — e.g. a
 /// request's queue-wait measured across threads. The annotations tag the
 /// span with the owning request so Perfetto can filter one request's whole
 /// timeline; `name` must be a string literal. No-op while tracing is
 /// disabled.
-void EmitSpan(const char* name, uint64_t start_ns, uint64_t end_ns,
-              const SpanAnnotations& ann);
+inline void EmitSpan(const char* name, uint64_t start_ns, uint64_t end_ns,
+                     const SpanAnnotations& ann) {
+  if (Enabled()) internal::RecordSpan(name, start_ns, end_ns, ann);
+}
 inline void EmitSpan(const char* name, uint64_t start_ns, uint64_t end_ns,
                      uint64_t trace_id = 0) {
+  if (!Enabled()) return;
   SpanAnnotations ann;
   ann.trace_id = trace_id;
-  EmitSpan(name, start_ns, end_ns, ann);
+  internal::RecordSpan(name, start_ns, end_ns, ann);
 }
 
 /// Turns span collection on/off process-wide. Already-buffered spans are
 /// kept; use Clear() to drop them.
 void SetEnabled(bool enabled);
-
-inline bool Enabled() {
-  return internal::g_enabled.load(std::memory_order_relaxed);
-}
 
 /// RAII span. `name` must outlive the tracer (string literals only — the
 /// CF_TRACE_SCOPE macro enforces the idiom).

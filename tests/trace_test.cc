@@ -1,8 +1,9 @@
 // Tests for the span tracer: disabled-path inertness, nesting depth, ring
-// wraparound eviction, and Chrome trace-event JSON output.
+// wraparound eviction, Chrome trace-event JSON output, and the trace clock.
 
 #include "util/trace.h"
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -156,6 +157,30 @@ TEST_F(TraceTest, ClearDiscardsBufferedSpans) {
   const std::string json = DrainChromeTraceJson();
   EXPECT_EQ(json.find("doomed"), std::string::npos);
   EXPECT_TRUE(test_json::IsValidJson(json));
+}
+
+// NowNs runs at the steady clock's rate (a time-stamp counter, where it is
+// read, is calibrated against it) and never steps back on one thread.
+TEST(TraceClockTest, TracksTheSteadyClockAndIsMonotonic) {
+  const auto steady_start = std::chrono::steady_clock::now();
+  const uint64_t start_ns = NowNs();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const uint64_t end_ns = NowNs();
+  const double steady_ns = std::chrono::duration<double, std::nano>(
+                               std::chrono::steady_clock::now() - steady_start)
+                               .count();
+  const double elapsed_ns = static_cast<double>(end_ns - start_ns);
+  // Inside the steady interval that brackets it, up to a calibration error
+  // far below 0.1% of 20 ms.
+  EXPECT_GE(elapsed_ns, 20e6 * 0.999);
+  EXPECT_LE(elapsed_ns, steady_ns * 1.001);
+
+  uint64_t previous = NowNs();
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t now = NowNs();
+    ASSERT_GE(now, previous);
+    previous = now;
+  }
 }
 
 }  // namespace
