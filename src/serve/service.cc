@@ -18,8 +18,6 @@ namespace chainsformer {
 namespace serve {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 metrics::Histogram* BatchSizeHist() {
   static auto* h =
       metrics::MetricsRegistry::Global().GetHistogram(metrics::names::kServeBatchSize);
@@ -163,11 +161,13 @@ double InferenceService::Fallback(kg::AttributeId attribute) const {
 ServeResponse InferenceService::Predict(const core::Query& query,
                                         uint64_t trace_id) {
   CF_TRACE_SCOPE("serve.predict");
-  const Clock::time_point start = Clock::now();
+  // The request reads the tracer clock at its arrival, at the end of the
+  // cache lookup (also its enqueue time) and at its answer; the dispatcher
+  // reads it once when it collects a batch and once when the batch's
+  // compute ends. Every phase boundary shares one of those reads — the
+  // per-request bill bench/perf_microbench prices.
   const uint64_t start_ns = trace::NowNs();
   const bool has_deadline = options_.deadline_ms > 0;
-  const Clock::time_point deadline =
-      start + std::chrono::milliseconds(has_deadline ? options_.deadline_ms : 0);
   if (trace_id == 0) {
     // Salt ^ sequence through a bijective mixer: deterministic per process
     // (RNG seam), unique per request. Mix64 never maps two inputs to the
@@ -184,6 +184,7 @@ ServeResponse InferenceService::Predict(const core::Query& query,
   auto finish = [&](ServeResponse r) {
     r.trace_id = trace_id;
     const uint64_t end_ns = trace::NowNs();
+    r.end_ns = end_ns;
     r.latency_us = static_cast<int64_t>((end_ns - start_ns) / 1000);
     // The windows reuse the end-of-request timestamp (TimeWheel::NowMs
     // shares the tracer clock), so the updates below cost one clock read
@@ -227,7 +228,6 @@ ServeResponse InferenceService::Predict(const core::Query& query,
   core::TreeOfChains chains;
   bool cache_hit = false;
   const bool cache_enabled = options_.cache_capacity > 0;
-  const uint64_t cache_start_ns = trace::NowNs();
   if (cache_enabled && cache_.Get(query.entity, query.attribute, &chains)) {
     cache_hit = true;
   } else {
@@ -237,9 +237,8 @@ ServeResponse InferenceService::Predict(const core::Query& query,
   }
   const uint64_t cache_end_ns = trace::NowNs();
   const int64_t cache_us =
-      static_cast<int64_t>((cache_end_ns - cache_start_ns) / 1000);
-  trace::EmitSpan("serve.cache_lookup", cache_start_ns, cache_end_ns,
-                  trace_id);
+      static_cast<int64_t>((cache_end_ns - start_ns) / 1000);
+  trace::EmitSpan("serve.cache_lookup", start_ns, cache_end_ns, trace_id);
   if (chains.empty()) {
     arriving_.fetch_sub(1, std::memory_order_relaxed);
     ServeResponse r;
@@ -255,6 +254,9 @@ ServeResponse InferenceService::Predict(const core::Query& query,
   pending->query = query;
   pending->chains = std::move(chains);
   pending->trace_id = trace_id;
+  // Queue wait runs from the end of the cache lookup, so it includes any
+  // wait for the queue lock.
+  pending->enqueue_ns = cache_end_ns;
   {
     cf::MutexLock lock(queue_mu_);
     arriving_.fetch_sub(1, std::memory_order_relaxed);
@@ -267,15 +269,19 @@ ServeResponse InferenceService::Predict(const core::Query& query,
       r.cache_us = cache_us;
       return finish(r);
     }
-    pending->enqueue_ns = trace::NowNs();
     queue_.push_back(pending);
   }
   queue_cv_.NotifyOne();
 
   cf::MutexLock lock(pending->mu);
   if (has_deadline) {
-    pending->cv.WaitUntil(pending->mu, deadline,
-                          [&]() CF_REQUIRES(pending->mu) { return pending->done; });
+    // The deadline counts from arrival: what the cache lookup used of it
+    // is gone (the wait starts within a microsecond of cache_end_ns).
+    const std::chrono::nanoseconds left =
+        std::chrono::milliseconds(options_.deadline_ms) -
+        std::chrono::nanoseconds(cache_end_ns - start_ns);
+    pending->cv.WaitFor(pending->mu, left,
+                        [&]() CF_REQUIRES(pending->mu) { return pending->done; });
   } else {
     pending->cv.Wait(pending->mu,
                      [&]() CF_REQUIRES(pending->mu) { return pending->done; });
@@ -307,6 +313,7 @@ void InferenceService::DispatchLoop() {
     std::vector<std::shared_ptr<Pending>> batch;
     bool shutting_down = false;
     uint64_t wake_ns = 0;
+    bool window_opened = false;
     std::function<void()> hook;
     {
       cf::MutexLock lock(queue_mu_);
@@ -322,6 +329,7 @@ void InferenceService::DispatchLoop() {
           // soon as the last arriving request has joined — anything not in
           // flight yet is waiting on this very batch's answer and cannot
           // arrive, so sleeping longer would add latency, not batch size.
+          window_opened = true;
           queue_cv_.WaitFor(queue_mu_, window, [&]() CF_REQUIRES(queue_mu_) {
             return shutdown_ || queue_.size() >= max_batch ||
                    arriving_.load(std::memory_order_relaxed) == 0;
@@ -360,7 +368,10 @@ void InferenceService::DispatchLoop() {
     if (hook) hook();
     CF_TRACE_SCOPE("serve.batch");
     const int64_t batch_id = batch_seq_.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t collect_ns = trace::NowNs();
+    // Without a coalescing window or a test hook in between, the batch was
+    // collected the moment the dispatcher woke.
+    const uint64_t collect_ns =
+        window_opened || hook ? trace::NowNs() : wake_ns;
     // Coalesce duplicate requests: predictions are deterministic per
     // (entity, attribute) — the bitwise batching invariance this service is
     // built on — so N identical in-flight queries need exactly one forward
@@ -388,8 +399,10 @@ void InferenceService::DispatchLoop() {
       }
       slot[i] = it->second;
     }
-    DedupCounter()->Increment(
-        static_cast<int64_t>(batch.size() - queries.size()));
+    if (queries.size() < batch.size()) {
+      DedupCounter()->Increment(
+          static_cast<int64_t>(batch.size() - queries.size()));
+    }
     BatchSizeHist()->Observe(static_cast<double>(batch.size()));
     // Per-query runtime calls fanned across the compute pool.
     // Bitwise-identical to PredictOnChainSets (each compiled bucket is

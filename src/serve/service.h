@@ -102,6 +102,11 @@ struct ServeResponse {
   int64_t window_us = 0;   // coalescing-window share of the wait
   int64_t compute_us = 0;  // forward pass of the owning micro-batch
   int64_t verify_us = 0;   // static-plan trace+compile+verify gate
+
+  /// trace::NowNs() when Predict() finished the request, so a caller that
+  /// continues the request's timeline (the NDJSON handler's serialize
+  /// phase) starts it without a clock read of its own.
+  uint64_t end_ns = 0;
 };
 
 /// Batching inference front-end for a loaded ChainsFormerModel.

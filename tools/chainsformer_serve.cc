@@ -220,10 +220,10 @@ std::string HandleLine(const ServeContext& ctx, const std::string& line) {
   const serve::ServeResponse resp =
       ctx.service.Predict({entity, attribute}, ParseTraceId(line));
 
-  // Serialize phase: the last span of the request's timeline. The trace id
-  // is stringified in the response for the same 2^53 reason as in the
-  // Chrome trace.
-  const uint64_t ser_start_ns = trace::NowNs();
+  // Serialize phase: the last span of the request's timeline, starting
+  // where Predict() ended. The trace id is stringified in the response for
+  // the same 2^53 reason as in the Chrome trace.
+  const uint64_t ser_start_ns = resp.end_ns;
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "\"trace_id\": \"%llu\", \"value\": %.17g, "
