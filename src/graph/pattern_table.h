@@ -35,7 +35,7 @@ class PatternKey {
 struct PatternMisses {
   std::vector<int64_t> chain;    // ToC index of every chain not found
   std::vector<int64_t> pattern;  // chain[i]'s pattern: an index into `first`
-  std::vector<int64_t> first;    // ToC index of each missed pattern's first chain
+  std::vector<int64_t> first;    // ToC index of each pattern's first chain
 };
 
 /// A bounded map from chain pattern to its end-token row e_c (`dim`

@@ -183,8 +183,7 @@ void TimeWheel::Open(int64_t now_ms, const int64_t* totals) {
   const size_t slot = static_cast<size_t>(epoch % num_slots_);
   epochs_[slot] = epoch;
   std::copy(totals, totals + cells_,
-            starts_.begin() +
-                static_cast<std::ptrdiff_t>(slot * static_cast<size_t>(cells_)));
+            starts_.data() + slot * static_cast<size_t>(cells_));
   newest_ = epoch;
   next_open_ms_.store((epoch + 1) * slot_millis_, std::memory_order_relaxed);
 }
