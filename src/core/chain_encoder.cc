@@ -83,7 +83,7 @@ void ChainEncoder::InitializeFromFilter(const HyperbolicFilter& filter) {
 std::vector<int64_t> ChainEncoder::Tokenize(const RAChain& chain) const {
   // Eq. 11 token order: [a_p, r_l, ..., r_1, a_q, end].
   std::vector<int64_t> tokens;
-  tokens.reserve(chain.relations.size() + 3);
+  tokens.reserve(static_cast<size_t>(chain.num_tokens()));
   tokens.push_back(AttributeToken(chain.source_attribute));
   for (auto it = chain.relations.rbegin(); it != chain.relations.rend(); ++it) {
     tokens.push_back(RelationToken(*it));

@@ -34,10 +34,9 @@ struct RAChain {
 
   int64_t length() const { return static_cast<int64_t>(relations.size()); }
 
-  /// Token id sequence for the Chain Encoder input (Eq. 11):
-  /// [a_p, r_l, ..., r_1, a_q, end]. Attribute tokens are returned as
-  /// negative-offset sentinels; see ChainEncoder for the vocabulary layout.
-  /// Provided here only as documentation; tokenization lives in the encoder.
+  /// Length of the Chain Encoder's token sequence (Eq. 11),
+  /// [a_p, r_l, ..., r_1, a_q, end]; ChainEncoder tokenizes.
+  int64_t num_tokens() const { return length() + 3; }
 
   /// Pattern identity: two chains with equal (a_p, relations, a_q) express
   /// the same reasoning pattern regardless of n_p / v_p.

@@ -12,25 +12,28 @@ namespace graph {
 
 namespace kernels = tensor::kernels;
 
-PlanExecutor::PlanExecutor(std::shared_ptr<const Plan> plan)
-    : plan_(std::move(plan)) {
-  CF_CHECK(plan_ != nullptr);
-  const Plan& p = *plan_;
-  arena_.resize(static_cast<size_t>(p.arena_floats), 0.0f);
+namespace {
+
+template <typename T>
+void GrowTo(std::vector<T>& v, int64_t n) {
+  if (static_cast<int64_t>(v.size()) < n) v.resize(static_cast<size_t>(n));
+}
+
+}  // namespace
+
+void PlanExecutor::Fit(const Plan& p) {
+  GrowTo(arena_, p.arena_floats);
   if (p.program == Program::kEncoder) {
-    tokens_.resize(static_cast<size_t>(p.chains * p.max_len), 0);
-    positions_.resize(static_cast<size_t>(p.chains * p.max_len), 0);
-    end_rows_.resize(static_cast<size_t>(p.chains), 0);
-    chain_ptrs_.reserve(static_cast<size_t>(p.chains));
+    GrowTo(tokens_, p.chains * p.max_len);
+    GrowTo(positions_, p.chains * p.max_len);
+    GrowTo(end_rows_, p.chains);
   } else {
-    lengths_.resize(static_cast<size_t>(p.chains), 0);
+    GrowTo(lengths_, p.chains);
   }
-  if (p.quant_rows > 0) {
-    qa_.resize(static_cast<size_t>(p.quant_qa_elems), 0);
-    qacc_.resize(static_cast<size_t>(p.quant_acc_elems), 0);
-    qrow_scale_.resize(static_cast<size_t>(p.quant_rows), 0.0f);
-    qrow_min_.resize(static_cast<size_t>(p.quant_rows), 0.0f);
-  }
+  GrowTo(qa_, p.quant_qa_elems);
+  GrowTo(qacc_, p.quant_acc_elems);
+  GrowTo(qrow_scale_, p.quant_rows);
+  GrowTo(qrow_min_, p.quant_rows);
 }
 
 const int64_t* PlanExecutor::IndexData(IndexArray which) const {
@@ -47,8 +50,8 @@ const int64_t* PlanExecutor::IndexData(IndexArray which) const {
   return nullptr;
 }
 
-void PlanExecutor::BindEncoder(std::span<const core::RAChain* const> chains) {
-  const Plan& p = *plan_;
+void PlanExecutor::BindEncoder(const Plan& p,
+                               std::span<const core::RAChain* const> chains) {
   CF_CHECK(p.program == Program::kEncoder);
   CF_CHECK_LE(static_cast<int64_t>(chains.size()), p.chains);
   const int64_t nr = p.num_relation_ids;
@@ -61,7 +64,7 @@ void PlanExecutor::BindEncoder(std::span<const core::RAChain* const> chains) {
     int64_t len = 0;  // padding rows beyond the chains stay fully masked
     if (i < static_cast<int64_t>(chains.size())) {
       const core::RAChain& c = *chains[static_cast<size_t>(i)];
-      len = c.length() + 3;  // source attr, relations, query attr, end
+      len = c.num_tokens();
       CF_CHECK_LE(len, p.max_len);
       // ChainEncoder::Tokenize: source attribute, relations tail-to-head,
       // query attribute, end token.
@@ -89,8 +92,8 @@ void PlanExecutor::BindEncoder(std::span<const core::RAChain* const> chains) {
   }
 }
 
-void PlanExecutor::BindReasoner(const core::TreeOfChains& chains) {
-  const Plan& p = *plan_;
+void PlanExecutor::BindReasoner(const Plan& p,
+                                const core::TreeOfChains& chains) {
   CF_CHECK(p.program == Program::kReasoner);
   CF_CHECK_EQ(static_cast<int64_t>(chains.size()), p.chains);
   float* bits = p.bits_offset >= 0 ? arena_.data() + p.bits_offset : nullptr;
@@ -115,32 +118,37 @@ void PlanExecutor::BindReasoner(const core::TreeOfChains& chains) {
 }
 
 const float* PlanExecutor::RunEncoder(
-    std::span<const core::RAChain* const> chains) {
-  BindEncoder(chains);
-  Execute();
-  return arena_.data() + plan_->result_offset;
+    const Plan& plan, std::span<const core::RAChain* const> chains) {
+  Fit(plan);
+  BindEncoder(plan, chains);
+  Execute(plan);
+  return arena_.data() + plan.result_offset;
 }
 
-const float* PlanExecutor::RunEncoder(const core::TreeOfChains& chains) {
+const float* PlanExecutor::RunEncoder(const Plan& plan,
+                                      const core::TreeOfChains& chains) {
   chain_ptrs_.clear();
   for (const core::RAChain& c : chains) chain_ptrs_.push_back(&c);
-  return RunEncoder(std::span<const core::RAChain* const>(chain_ptrs_));
+  return RunEncoder(plan, std::span<const core::RAChain* const>(chain_ptrs_));
 }
 
-float* PlanExecutor::rows() {
-  CF_CHECK(plan_->program == Program::kReasoner);
-  return arena_.data() + plan_->rows_offset;
+float* PlanExecutor::Rows(const Plan& plan) {
+  CF_CHECK(plan.program == Program::kReasoner);
+  Fit(plan);
+  return arena_.data() + plan.rows_offset;
 }
 
-float PlanExecutor::RunReasoner(const core::TreeOfChains& chains) {
-  BindReasoner(chains);
-  Execute();
-  return arena_[static_cast<size_t>(plan_->result_offset)];
+float PlanExecutor::RunReasoner(const Plan& plan,
+                                const core::TreeOfChains& chains) {
+  Fit(plan);
+  BindReasoner(plan, chains);
+  Execute(plan);
+  return arena_[static_cast<size_t>(plan.result_offset)];
 }
 
-void PlanExecutor::Execute() {
+void PlanExecutor::Execute(const Plan& plan) {
   float* a = arena_.data();
-  for (const Step& st : plan_->steps) {
+  for (const Step& st : plan.steps) {
     switch (st.kind) {
       case StepKind::kGatherTable: {
         const int64_t* idx = IndexData(st.index);
@@ -306,23 +314,19 @@ void PlanExecutor::Execute() {
         std::fill(out, out + st.m, st.scalar);
         break;
       }
-      case StepKind::kGemmInt8: {
-        const auto& pack = plan_->int8_packs[static_cast<size_t>(st.extra)];
-        kernels::QuantizeActivationRows(st.m, st.k, pack.k_padded, a + st.in0,
-                                        qa_.data(), qrow_scale_.data(),
-                                        qrow_min_.data());
-        kernels::Int8GemmI32Serial(st.m, pack, qa_.data(), qacc_.data());
+      case StepKind::kGemmInt8:
+        kernels::QuantizeActivationRows(st.m, st.k, st.pack->k_padded,
+                                        a + st.in0, qa_.data(),
+                                        qrow_scale_.data(), qrow_min_.data());
+        kernels::Int8GemmI32Serial(st.m, *st.pack, qa_.data(), qacc_.data());
         break;
-      }
       case StepKind::kDequantBias:
-      case StepKind::kDequantBiasGelu: {
-        const auto& pack = plan_->int8_packs[static_cast<size_t>(st.extra)];
-        kernels::DequantBiasRows(st.m, pack, qacc_.data(), qrow_scale_.data(),
-                                 qrow_min_.data(), st.w0,
+      case StepKind::kDequantBiasGelu:
+        kernels::DequantBiasRows(st.m, *st.pack, qacc_.data(),
+                                 qrow_scale_.data(), qrow_min_.data(), st.w0,
                                  st.kind == StepKind::kDequantBiasGelu,
                                  a + st.out);
         break;
-      }
       case StepKind::kDot: {
         const float* x = a + st.in0;
         const float* y = a + st.in1;
@@ -338,13 +342,12 @@ void PlanExecutor::Execute() {
   }
 }
 
-float RunNormalized(PlanExecutor& encoder, PlanExecutor& reasoner,
-                    const core::TreeOfChains& chains) {
-  const float* rows = encoder.RunEncoder(chains);
-  const int64_t d = reasoner.plan().dim;
-  std::copy(rows, rows + static_cast<int64_t>(chains.size()) * d,
-            reasoner.rows());
-  return reasoner.RunReasoner(chains);
+float RunNormalized(ExecutorPair& executors, const Plan& encoder,
+                    const Plan& reasoner, const core::TreeOfChains& chains) {
+  const float* rows = executors.encoder.RunEncoder(encoder, chains);
+  std::copy(rows, rows + static_cast<int64_t>(chains.size()) * reasoner.dim,
+            executors.reasoner.Rows(reasoner));
+  return executors.reasoner.RunReasoner(reasoner, chains);
 }
 
 }  // namespace graph

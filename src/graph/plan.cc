@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <memory>
 #include <utility>
 
 #include "core/chain_encoder.h"
@@ -44,8 +44,8 @@ struct BufInfo {
 class Compiler {
  public:
   Compiler(const core::ChainsFormerModel& model, int64_t chains,
-           int64_t max_len, Precision precision, const QuantStore* store)
-      : model_(model), k_(chains), len_(max_len), precision_(precision) {
+           int64_t max_len, std::shared_ptr<const Int8PackSet> int8)
+      : model_(model), k_(chains), len_(max_len), int8_(int8.get()) {
     const core::ChainEncoder& enc = model.encoder();
     CF_CHECK(enc.encoder_type() == core::EncoderType::kTransformer)
         << "static graphs require the Transformer chain encoder";
@@ -59,19 +59,9 @@ class Compiler {
     plan_.numeric_encoding = enc.numeric_encoding();
     plan_.use_numerical_aware = enc.use_numerical_aware();
     plan_.train_stats = &model.train_stats();
-    plan_.precision = precision;
-    if (precision == Precision::kInt8) {
-      CF_CHECK(store != nullptr) << "int8 compilation requires a QuantStore";
-      const auto linears = QuantizableLinears(model);
-      CF_CHECK_EQ(linears.size(), store->linears.size())
-          << "quantization store does not match the model's Linear set";
-      for (size_t i = 0; i < linears.size(); ++i) {
-        const QuantizedLinear& q = store->linears[i];
-        CF_CHECK(q.name == linears[i].first)
-            << "quantization store row " << i << " is " << q.name
-            << ", model walk expects " << linears[i].first;
-        store_rows_[linears[i].second->weight().data().data()] = &q;
-      }
+    if (int8 != nullptr) {
+      plan_.precision = Precision::kInt8;
+      plan_.pinned.push_back(std::move(int8));
     }
   }
 
@@ -143,8 +133,8 @@ class Compiler {
                      bool fuse_gelu) {
     const int64_t in_f = lin.in_features(), out_f = lin.out_features();
     CF_CHECK(lin.bias().defined());
-    if (precision_ == Precision::kInt8) {
-      const int64_t pack = Int8PackIndex(lin);
+    if (int8_ != nullptr) {
+      const tensor::kernels::Int8Pack* pack = &int8_->For(lin);
       // kGemmInt8 consumes the float input into the executor's uint8/int32
       // scratch; the dequant step then materializes the float output. The
       // output buffer's live interval starts at the dequant step, so the
@@ -156,7 +146,7 @@ class Compiler {
       g.m = rows;
       g.k = in_f;
       g.n = out_f;
-      g.extra = pack;
+      g.pack = pack;
       Expect("MatMul", {rows, out_f});
       Step& b = Push(fuse_gelu ? StepKind::kDequantBiasGelu
                                : StepKind::kDequantBias);
@@ -164,7 +154,7 @@ class Compiler {
       b.w0 = Pin(lin.bias());
       b.m = rows;
       b.n = out_f;
-      b.extra = pack;
+      b.pack = pack;
       Expect("Add", {rows, out_f});
       using tensor::kernels::Int8PaddedCols;
       using tensor::kernels::Int8PaddedDepth;
@@ -192,25 +182,6 @@ class Compiler {
     b.n = out_f;
     Expect("Add", {rows, out_f});
     return gemm;
-  }
-
-  /// Index into plan_.int8_packs for this Linear, packing its store row
-  /// into the interleaved kernel layout on first use.
-  int64_t Int8PackIndex(const Linear& lin) {
-    const float* wp = lin.weight().data().data();
-    auto it = pack_index_.find(wp);
-    if (it != pack_index_.end()) return it->second;
-    auto row = store_rows_.find(wp);
-    CF_CHECK(row != store_rows_.end())
-        << "Linear missing from the quantization store";
-    const QuantizedLinear& q = *row->second;
-    CF_CHECK_EQ(q.in, lin.in_features());
-    CF_CHECK_EQ(q.out, lin.out_features());
-    plan_.int8_packs.push_back(tensor::kernels::PackInt8Weights(
-        q.in, q.out, q.codes.data(), q.scale.data()));
-    const int64_t idx = static_cast<int64_t>(plan_.int8_packs.size()) - 1;
-    pack_index_[wp] = idx;
-    return idx;
   }
 
   /// Mlp::Forward over rank-2 rows: Linear stacks with GELU between layers.
@@ -394,9 +365,7 @@ class Compiler {
   const core::ChainsFormerModel& model_;
   const int64_t k_;
   const int64_t len_;
-  const Precision precision_;
-  std::map<const float*, const QuantizedLinear*> store_rows_;
-  std::map<const float*, int64_t> pack_index_;
+  const Int8PackSet* const int8_;  // null: fp64 Linears
   Plan plan_;
   std::vector<BufInfo> bufs_;
 };
@@ -661,18 +630,24 @@ void Compiler::AssignOffsets() {
 
 }  // namespace
 
+int64_t MaxTokens(const core::TreeOfChains& chains) {
+  int64_t mx = 0;
+  for (const core::RAChain& c : chains) mx = std::max(mx, c.num_tokens());
+  return mx;
+}
+
 Plan CompileEncoderPlan(const core::ChainsFormerModel& model, int64_t chains,
-                        int64_t max_len, Precision precision,
-                        const QuantStore* store) {
+                        int64_t max_len,
+                        std::shared_ptr<const Int8PackSet> int8) {
   CF_CHECK_GT(chains, 0);
   CF_CHECK_GT(max_len, 0);
-  return Compiler(model, chains, max_len, precision, store).BuildEncoder();
+  return Compiler(model, chains, max_len, std::move(int8)).BuildEncoder();
 }
 
 Plan CompileReasonerPlan(const core::ChainsFormerModel& model, int64_t k,
-                         Precision precision, const QuantStore* store) {
+                         std::shared_ptr<const Int8PackSet> int8) {
   CF_CHECK_GT(k, 0);
-  return Compiler(model, k, /*max_len=*/0, precision, store).BuildReasoner();
+  return Compiler(model, k, /*max_len=*/0, std::move(int8)).BuildReasoner();
 }
 
 }  // namespace graph

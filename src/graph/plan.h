@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/ra_chain.h"
 #include "graph/quant.h"
 #include "graph/trace.h"
 #include "kg/knowledge_graph.h"
@@ -52,7 +53,7 @@ enum class StepKind : uint8_t {
   kDot,                // out[0] = float(sum_i double(float(in0[i]*in1[i])))
   // Reduced-precision Linear lowering (DESIGN §6g). These replace the
   // kGemm + kBiasAdd/kBiasGelu pair when the plan's precision is kInt8;
-  // `extra` indexes Plan::int8_packs.
+  // `pack` points at the Linear's packed weights.
   kGemmInt8,           // quantize arena[in0][m,k] rows + int8 GEMM into the
                        // executor's int32 scratch (out unused)
   kDequantBias,        // arena[out][m,n] = dequant(scratch) + w0 bias
@@ -64,9 +65,10 @@ enum class StepKind : uint8_t {
 enum class IndexArray : uint8_t { kTokens, kPositions, kEndRows, kLengths };
 
 /// One fused-kernel instruction. in0/in1/in2/out are float offsets into the
-/// executor arena (-1 = unused); w0/w1 point at frozen weights. m/k/n/extra
-/// are the kind-specific geometry documented on StepKind; `scalar` carries
-/// the attention scale, LayerNorm epsilon, or fill value.
+/// executor arena (-1 = unused); w0/w1 point at frozen weights and `pack` at
+/// an int8 Linear's packed weights. m/k/n/extra are the kind-specific
+/// geometry documented on StepKind; `scalar` carries the attention scale,
+/// LayerNorm epsilon, or fill value.
 struct Step {
   StepKind kind;
   IndexArray index = IndexArray::kTokens;
@@ -76,6 +78,7 @@ struct Step {
   int64_t out = -1;
   const float* w0 = nullptr;
   const float* w1 = nullptr;
+  const tensor::kernels::Int8Pack* pack = nullptr;
   int64_t m = 0;
   int64_t k = 0;
   int64_t n = 0;
@@ -93,8 +96,8 @@ enum class Program : uint8_t {
 
 /// A compiled inference program for one geometry bucket, flattened to a
 /// fixed step sequence over one liveness-packed arena. Produced by
-/// CompileEncoderPlan / CompileReasonerPlan, executed by PlanExecutor,
-/// cached per bucket by StaticGraphRuntime.
+/// CompileEncoderPlan / CompileReasonerPlan, run by any PlanExecutor, and
+/// cached per bucket by StaticGraphRuntime. Immutable once compiled.
 ///
 /// The encoder program is ChainEncoder::EndTokenRows for `chains` token
 /// sequences padded to `max_len`. The reasoner program is the rest of
@@ -127,12 +130,10 @@ struct Plan {
   int64_t vn_offset = -1;      // reasoner: [chains] normalized evidence values
   int64_t result_offset = -1;  // encoder: [chains * dim] e_c; reasoner: scalar
 
-  // Reduced-precision state (empty / zero when precision == kFp64). Packs
-  // are indexed by Step::extra of the quantized step kinds; the scratch
-  // maxima size the executor's per-instance int8/int32 buffers (the arena
-  // itself stays float-only).
+  // Reduced-precision state (zero when precision == kFp64). The scratch
+  // maxima size the executor's int8/int32 buffers (the arena itself stays
+  // float-only).
   Precision precision = Precision::kFp64;
-  std::vector<tensor::kernels::Int8Pack> int8_packs;
   int64_t quant_rows = 0;       // max m over kGemmInt8 steps
   int64_t quant_qa_elems = 0;   // max m * padded-k (uint8 activation codes)
   int64_t quant_acc_elems = 0;  // max m * padded-n (int32 accumulators)
@@ -145,30 +146,32 @@ struct Plan {
   // sequence the plan mirrors.
   std::vector<TraceEvent> expected_events;
 
-  // Keeps the parameter storage behind every w0/w1 pointer alive.
-  std::vector<std::shared_ptr<tensor::TensorImpl>> pinned;
+  // Keeps the parameter storage behind every w0/w1 pointer, and the
+  // Int8PackSet behind every `pack` pointer, alive.
+  std::vector<std::shared_ptr<const void>> pinned;
 };
+
+/// The encoder program length `chains` need: their longest token sequence.
+int64_t MaxTokens(const core::TreeOfChains& chains);
 
 /// Compiles the frozen model's encoder program: ChainEncoder::EndTokenRows
 /// for `chains` token sequences padded to `max_len`. Walks the model's
 /// module tree (the accessors on ChainEncoder and the nn layers) and emits
 /// the exact eager op sequence with elementwise chains fused and every
 /// intermediate placed in one arena by liveness. Requires the Transformer
-/// encoder type. kInt8 lowers every Linear to the quantized step kinds and
-/// requires a QuantStore whose rows came from BuildQuantStore on this model
-/// (matched against the QuantizableLinears walk by name and shape); kFp64
-/// ignores `store`. The caller is responsible for verifying the plan
+/// encoder type. With `int8` (packed from this model's store) every Linear
+/// lowers to the quantized step kinds, which point into that set; without
+/// it the plan runs fp64. The caller is responsible for verifying the plan
 /// against an eager run before serving from it (StaticGraphRuntime does
 /// both).
 Plan CompileEncoderPlan(const core::ChainsFormerModel& model, int64_t chains,
-                        int64_t max_len, Precision precision = Precision::kFp64,
-                        const QuantStore* store = nullptr);
+                        int64_t max_len,
+                        std::shared_ptr<const Int8PackSet> int8 = nullptr);
 
 /// Compiles the reasoner program for one query with k chains, whose
 /// end-token rows are its input. Same contract as CompileEncoderPlan.
 Plan CompileReasonerPlan(const core::ChainsFormerModel& model, int64_t k,
-                         Precision precision = Precision::kFp64,
-                         const QuantStore* store = nullptr);
+                         std::shared_ptr<const Int8PackSet> int8 = nullptr);
 
 }  // namespace graph
 }  // namespace chainsformer

@@ -42,12 +42,6 @@ void WalkEncoderLayer(const std::string& prefix,
   out->emplace_back(prefix + ".ff2", &layer.ff2());
 }
 
-int64_t MaxTokens(const core::TreeOfChains& chains) {
-  int64_t mx = 0;
-  for (const core::RAChain& c : chains) mx = std::max(mx, c.length() + 3);
-  return mx;
-}
-
 }  // namespace
 
 const char* PrecisionName(Precision p) {
@@ -117,21 +111,48 @@ QuantStore BuildQuantStore(const core::ChainsFormerModel& model) {
   return store;
 }
 
+const tensor::kernels::Int8Pack& Int8PackSet::For(const Linear& lin) const {
+  for (const auto& [linear, pack] : packs) {
+    if (linear == &lin) return pack;
+  }
+  CF_LOG(Fatal) << "Linear missing from the int8 pack set";
+  return packs.front().second;
+}
+
+std::shared_ptr<const Int8PackSet> PackQuantStore(
+    const core::ChainsFormerModel& model, const QuantStore& store) {
+  const auto linears = QuantizableLinears(model);
+  CF_CHECK_EQ(linears.size(), store.linears.size())
+      << "quantization store does not match the model's Linear set";
+  auto set = std::make_shared<Int8PackSet>();
+  set->packs.reserve(linears.size());
+  for (size_t i = 0; i < linears.size(); ++i) {
+    const QuantizedLinear& q = store.linears[i];
+    const Linear& lin = *linears[i].second;
+    CF_CHECK(q.name == linears[i].first)
+        << "quantization store row " << i << " is " << q.name
+        << ", model walk expects " << linears[i].first;
+    CF_CHECK_EQ(q.in, lin.in_features());
+    CF_CHECK_EQ(q.out, lin.out_features());
+    set->packs.emplace_back(&lin, tensor::kernels::PackInt8Weights(
+                                      q.in, q.out, q.codes.data(),
+                                      q.scale.data()));
+  }
+  return set;
+}
+
 void CalibrateQuantStore(const core::ChainsFormerModel& model,
                          const std::vector<core::Query>& queries,
                          QuantStore* store) {
   CF_CHECK(store != nullptr);
   // The two programs the runtime serves from, at each query's exact
-  // geometry: one encoder executor per (k, max_tokens) and one reasoner
-  // executor per k. Calibration runs offline, so there is no need for the
-  // serving runtime's bucketing, pooling or pattern table.
-  auto executor = [&](Plan plan) {
-    return std::make_unique<PlanExecutor>(
-        std::make_shared<const Plan>(std::move(plan)));
-  };
-  std::map<std::pair<int64_t, int64_t>, std::unique_ptr<PlanExecutor>>
-      encoders;
-  std::map<int64_t, std::unique_ptr<PlanExecutor>> reasoners;
+  // geometry: one encoder plan per (k, max_tokens) and one reasoner plan
+  // per k, all run by one executor pair. Calibration runs offline, so there
+  // is no need for the serving runtime's bucketing or pattern table.
+  const std::shared_ptr<const Int8PackSet> int8 = PackQuantStore(model, *store);
+  std::map<std::pair<int64_t, int64_t>, Plan> encoders;
+  std::map<int64_t, Plan> reasoners;
+  ExecutorPair executors;
   double sum_abs = 0.0;
   int64_t n = 0;
   for (const core::Query& query : queries) {
@@ -141,19 +162,16 @@ void CalibrateQuantStore(const core::ChainsFormerModel& model,
         model.PredictOnChainSets({query}, {&chains});
     const int64_t k = static_cast<int64_t>(chains.size());
     const int64_t len = MaxTokens(chains);
-    auto& encoder = encoders[{k, len}];
-    if (encoder == nullptr) {
-      encoder = executor(
-          CompileEncoderPlan(model, k, len, Precision::kInt8, store));
+    Plan& encoder = encoders[{k, len}];
+    if (encoder.steps.empty()) {
+      encoder = CompileEncoderPlan(model, k, len, int8);
     }
-    auto& reasoner = reasoners[k];
-    if (reasoner == nullptr) {
-      reasoner =
-          executor(CompileReasonerPlan(model, k, Precision::kInt8, store));
-    }
-    const double compiled_norm = std::clamp(
-        static_cast<double>(RunNormalized(*encoder, *reasoner, chains)), -0.1,
-        1.1);
+    Plan& reasoner = reasoners[k];
+    if (reasoner.steps.empty()) reasoner = CompileReasonerPlan(model, k, int8);
+    const float normalized =
+        RunNormalized(executors, encoder, reasoner, chains);
+    const double compiled_norm =
+        std::clamp(static_cast<double>(normalized), -0.1, 1.1);
     CF_CHECK_LT(static_cast<size_t>(query.attribute),
                 model.train_stats().size());
     const double eager_norm =

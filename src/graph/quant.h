@@ -2,9 +2,12 @@
 #define CHAINSFORMER_GRAPH_QUANT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "tensor/kernels.h"
 
 namespace chainsformer {
 namespace core {
@@ -52,7 +55,8 @@ struct QuantizedLinear {
 
 /// Every quantized Linear of a frozen model plus the calibration facts the
 /// serve-time accuracy gate checks. Saved as the optional "quant_int8"
-/// checkpoint block; loaded read-only and shared across plan buckets.
+/// checkpoint block and loaded read-only; a runtime packs it once
+/// (PackQuantStore) and every plan bucket shares the packs.
 struct QuantStore {
   std::vector<QuantizedLinear> linears;
   // Mean |normalized int8 prediction - normalized eager prediction| over the
@@ -65,21 +69,38 @@ struct QuantStore {
 
 /// The frozen Linears the static-graph compiler lowers to kGemm steps, in a
 /// stable canonical order with dotted names. This walk is the single source
-/// of truth shared by BuildQuantStore (save time) and CompileEncoderPlan /
-/// CompileReasonerPlan (load time); both sides iterate it so the store rows
-/// line up with the plans' weight pointers by construction.
+/// of truth shared by BuildQuantStore (save time) and PackQuantStore (load
+/// time); both sides iterate it so the store rows line up with the model's
+/// Linears by construction.
 std::vector<std::pair<std::string, const tensor::nn::Linear*>>
 QuantizableLinears(const core::ChainsFormerModel& model);
+
+/// A QuantStore in the int8 GEMM's packed layout: one pack per quantizable
+/// Linear, matched against the model's QuantizableLinears walk once, at
+/// packing. The int8 steps of every plan compiled from one set point into
+/// it, and each such plan pins the set (DESIGN §6g).
+struct Int8PackSet {
+  std::vector<std::pair<const tensor::nn::Linear*, tensor::kernels::Int8Pack>>
+      packs;  // QuantizableLinears order
+
+  /// The pack of `lin`; CF_CHECKs that the set holds one.
+  const tensor::kernels::Int8Pack& For(const tensor::nn::Linear& lin) const;
+};
+
+/// Packs `store`, whose rows must come from BuildQuantStore on this model
+/// (matched by name and shape).
+std::shared_ptr<const Int8PackSet> PackQuantStore(
+    const core::ChainsFormerModel& model, const QuantStore& store);
 
 /// Quantizes every quantizable Linear of the frozen model. Does not
 /// calibrate; mae_delta stays 0 until CalibrateQuantStore runs.
 QuantStore BuildQuantStore(const core::ChainsFormerModel& model);
 
 /// Measures the int8 static-graph accuracy drift on held-out queries:
-/// compiles int8 plans from `store`, predicts each query with both the int8
-/// plan and the eager full-precision path, and records the mean absolute
-/// difference of the normalized predictions into store->mae_delta /
-/// store->calibration_queries. Queries with no retrievable chains are
+/// packs `store` once, compiles int8 plans from the packs, predicts each
+/// query with both the int8 plans and the eager full-precision path, and
+/// records the mean absolute difference of the normalized predictions into
+/// store->mae_delta / store->calibration_queries. Queries with no retrievable chains are
 /// skipped (both paths fall back identically).
 void CalibrateQuantStore(const core::ChainsFormerModel& model,
                          const std::vector<core::Query>& queries,

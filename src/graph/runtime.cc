@@ -34,10 +34,12 @@ int64_t CountBucket(int64_t chains) {
   return bucket;
 }
 
-int64_t MaxTokens(const core::TreeOfChains& chains) {
-  int64_t mx = 0;
-  for (const core::RAChain& c : chains) mx = std::max(mx, c.length() + 3);
-  return mx;
+/// The calling thread's executors. Like the GEMM's per-thread pack buffer
+/// (tensor/kernels.cc), they live as long as the thread and grow to the
+/// largest plans it has run, in any runtime.
+ExecutorPair& ThreadExecutors() {
+  thread_local ExecutorPair executors;
+  return executors;
 }
 
 bool BitwiseEqual(double a, double b) {
@@ -66,64 +68,11 @@ bool SkeletonMatches(const char* program,
 
 }  // namespace
 
-/// An executor checked out of a bucket's idle pool. The pool gets it back
-/// when the lease ends if the bucket is settled by then and the pool has
-/// room; an executor of a bucket that is still gating or was pinned is
-/// dropped.
-class StaticGraphRuntime::Lease {
- public:
-  explicit Lease(std::shared_ptr<Entry> entry) : entry_(std::move(entry)) {
-    std::shared_ptr<const Plan> plan;
-    {
-      cf::MutexLock lock(entry_->mu);
-      eager_fallback_ = entry_->eager_fallback;
-      if (!entry_->ready || eager_fallback_) return;
-      if (!entry_->idle.empty()) {
-        executor_ = std::move(entry_->idle.back());
-        entry_->idle.pop_back();
-        return;
-      }
-      plan = entry_->plan;
-    }
-    executor_ = std::make_unique<PlanExecutor>(std::move(plan));
-  }
-
-  ~Lease() {
-    if (executor_ == nullptr) return;
-    cf::MutexLock lock(entry_->mu);
-    if (entry_->ready && !entry_->eager_fallback &&
-        entry_->idle.size() < entry_->max_idle) {
-      entry_->idle.push_back(std::move(executor_));
-    }
-  }
-
-  Lease(const Lease&) = delete;
-  Lease& operator=(const Lease&) = delete;
-
-  bool eager_fallback() const { return eager_fallback_; }
-  /// Null while the bucket waits for its first-use gate.
-  PlanExecutor* executor() const { return executor_.get(); }
-  Entry& entry() const { return *entry_; }
-
-  /// Gate path: an executor over a plan the bucket does not hold yet.
-  void Start(std::shared_ptr<const Plan> plan) {
-    executor_ = std::make_unique<PlanExecutor>(std::move(plan));
-  }
-
- private:
-  std::shared_ptr<Entry> entry_;
-  bool eager_fallback_ = false;
-  std::unique_ptr<PlanExecutor> executor_;
-};
-
-StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model)
-    : StaticGraphRuntime(model, RuntimeOptions{}) {}
-
 StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model,
-                                       RuntimeOptions options)
+                                       const QuantStore* quant)
     : model_(model),
       compiles_(Supports(model)),
-      options_(std::move(options)),
+      int8_(quant != nullptr ? PackQuantStore(model, *quant) : nullptr),
       table_(model.encoder().hidden_dim(), kPatternTableBytes) {
   auto& reg = metrics::MetricsRegistry::Global();
   hits_ = reg.GetCounter(metrics::names::kPlanCacheHits);
@@ -135,10 +84,6 @@ StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model,
   pattern_misses_ = reg.GetCounter(metrics::names::kPlanPatternMisses);
   arena_bytes_ = reg.GetGauge(metrics::names::kPlanArenaBytes);
   pattern_bytes_ = reg.GetGauge(metrics::names::kPlanPatternBytes);
-  CF_CHECK(options_.precision != Precision::kInt8 ||
-           (compiles_ && options_.quant != nullptr))
-      << "int8 serving requires a compiled encoder and the checkpoint's "
-         "quantization store";
 }
 
 bool StaticGraphRuntime::Supports(const core::ChainsFormerModel& model) {
@@ -172,16 +117,17 @@ core::BatchPrediction StaticGraphRuntime::Denormalized(
   return out;
 }
 
-std::shared_ptr<StaticGraphRuntime::Entry> StaticGraphRuntime::Bucket(
+StaticGraphRuntime::Found StaticGraphRuntime::Find(
     const BucketKey& key) const {
   cf::MutexLock lock(mu_);
   auto it = plans_.find(key);
-  if (it != plans_.end()) return it->second;
-  if (plans_.size() >= kMaxPlans) return nullptr;
-  auto entry = std::make_shared<Entry>(
-      std::get<0>(key) == Program::kEncoder ? 1 : SIZE_MAX);
-  plans_.emplace(key, entry);
-  return entry;
+  if (it == plans_.end()) {
+    if (plans_.size() >= kMaxPlans) return Found{.cache_full = true};
+    plans_.emplace(key, Bucket{});
+    return Found{};
+  }
+  return Found{.plan = it->second.plan.get(),
+               .eager_fallback = it->second.eager_fallback};
 }
 
 StaticGraphRuntime::BucketKey StaticGraphRuntime::EncoderKey(
@@ -199,15 +145,16 @@ StaticGraphRuntime::Misses StaticGraphRuntime::CollectMisses(
   for (int64_t i : out.missed.first) {
     const core::RAChain& c = chains[static_cast<size_t>(i)];
     out.unique.push_back(&c);
-    out.max_tokens = std::max(out.max_tokens, c.length() + 3);
+    out.max_tokens = std::max(out.max_tokens, c.num_tokens());
   }
   return out;
 }
 
 const float* StaticGraphRuntime::EncodeMisses(PlanExecutor& encoder,
+                                              const Plan& plan,
                                               const Misses& misses,
                                               float* rows) const {
-  const float* encoded = encoder.RunEncoder(misses.unique);
+  const float* encoded = encoder.RunEncoder(plan, misses.unique);
   const int64_t d = table_.dim();
   const PatternMisses& missed = misses.missed;
   for (size_t i = 0; i < missed.chain.size(); ++i) {
@@ -231,29 +178,23 @@ void StaticGraphRuntime::CountPatterns(int64_t hits, int64_t misses) const {
 
 std::vector<StaticGraphRuntime::BucketStats> StaticGraphRuntime::Stats()
     const {
-  std::vector<std::pair<BucketKey, std::shared_ptr<Entry>>> entries;
-  {
-    cf::MutexLock lock(mu_);
-    entries.assign(plans_.begin(), plans_.end());
-  }
   std::vector<BucketStats> out;
-  out.reserve(entries.size());
-  for (const auto& [key, entry] : entries) {
+  cf::MutexLock lock(mu_);
+  out.reserve(plans_.size());
+  for (const auto& [key, bucket] : plans_) {
     BucketStats s;
     const auto& [program, chains, max_len] = key;
     s.program = program == Program::kEncoder ? "encoder" : "reasoner";
     s.k = chains;
     s.max_len = max_len;
-    cf::MutexLock lock(entry->mu);
-    s.ready = entry->ready;
-    s.eager_fallback = entry->eager_fallback;
-    s.precision = entry->eager_fallback ? PrecisionName(Precision::kFp64)
-                                        : PrecisionName(options_.precision);
+    s.ready = bucket.plan != nullptr || bucket.eager_fallback;
+    s.eager_fallback = bucket.eager_fallback;
+    s.precision = PrecisionName(bucket.eager_fallback ? Precision::kFp64
+                                                      : precision());
     s.verify_tolerance = verify_tolerance();
-    s.idle_executors = static_cast<int64_t>(entry->idle.size());
-    if (entry->plan != nullptr) {
+    if (bucket.plan != nullptr) {
       s.arena_bytes =
-          entry->plan->arena_floats * static_cast<int64_t>(sizeof(float));
+          bucket.plan->arena_floats * static_cast<int64_t>(sizeof(float));
     }
     out.push_back(s);
   }
@@ -303,55 +244,58 @@ std::optional<core::BatchPrediction> StaticGraphRuntime::Serve(
     PredictStats* stats, bool gating) const {
   const uint64_t gate_start_ns = gating ? trace::NowNs() : 0;
   const int64_t k = static_cast<int64_t>(chains.size());
+  ExecutorPair& executors = ThreadExecutors();
   // Under the gate lock both buckets are read afresh: an earlier gate may
   // have settled or pinned them while this call waited.
-  std::shared_ptr<Entry> reasoner_entry = Bucket({Program::kReasoner, k, 0});
-  if (reasoner_entry == nullptr) return PlanCacheFull(query, chains);
-  Lease reasoner(std::move(reasoner_entry));
-  // Checked per call so pinned buckets serve eagerly in parallel (the flag
-  // is monotonic once ready).
-  if (reasoner.eager_fallback()) return Eager(query, chains);
-  std::shared_ptr<const Plan> reasoner_plan;
-  if (reasoner.executor() == nullptr) {
+  const BucketKey reasoner_key{Program::kReasoner, k, 0};
+  const Found reasoner = Find(reasoner_key);
+  if (reasoner.cache_full) return PlanCacheFull(query, chains);
+  // Checked per call so pinned buckets serve eagerly in parallel.
+  if (reasoner.eager_fallback) return Eager(query, chains);
+  std::unique_ptr<const Plan> new_reasoner;
+  if (reasoner.plan == nullptr) {
     if (!gating) return std::nullopt;
-    reasoner_plan = std::make_shared<const Plan>(CompileReasonerPlan(
-        model_, k, options_.precision, options_.quant.get()));
-    reasoner.Start(reasoner_plan);
+    new_reasoner =
+        std::make_unique<const Plan>(CompileReasonerPlan(model_, k, int8_));
   }
+  const Plan& reasoner_plan = new_reasoner ? *new_reasoner : *reasoner.plan;
 
   // The table fills the reasoner's input rows; the encoder program runs
   // only over patterns it has not seen.
-  float* rows = reasoner.executor()->rows();
+  float* rows = executors.reasoner.Rows(reasoner_plan);
   PatternMisses missed;  // stays unallocated when every pattern hits
   const int64_t found = table_.Lookup(chains, rows, &missed);
   const Misses misses = CollectMisses(chains, std::move(missed));
-  std::optional<Lease> encoder;
-  std::shared_ptr<const Plan> encoder_plan;
+  BucketKey encoder_key;
+  const Plan* encoder_plan = nullptr;
+  std::unique_ptr<const Plan> new_encoder;
   if (!misses.unique.empty()) {
-    const BucketKey key = EncoderKey(misses);
-    std::shared_ptr<Entry> entry = Bucket(key);
-    if (entry == nullptr) return PlanCacheFull(query, chains);
-    encoder.emplace(std::move(entry));
-    if (encoder->eager_fallback()) return Eager(query, chains);
-    if (encoder->executor() == nullptr) {
+    encoder_key = EncoderKey(misses);
+    const Found encoder = Find(encoder_key);
+    if (encoder.cache_full) return PlanCacheFull(query, chains);
+    if (encoder.eager_fallback) return Eager(query, chains);
+    encoder_plan = encoder.plan;
+    if (encoder_plan == nullptr) {
       if (!gating) return std::nullopt;
-      encoder_plan = std::make_shared<const Plan>(
-          CompileEncoderPlan(model_, std::get<1>(key), std::get<2>(key),
-                             options_.precision, options_.quant.get()));
-      encoder->Start(encoder_plan);
+      new_encoder = std::make_unique<const Plan>(
+          CompileEncoderPlan(model_, std::get<1>(encoder_key),
+                             std::get<2>(encoder_key), int8_));
+      encoder_plan = new_encoder.get();
     }
   }
   CountPatterns(found, k - found);
 
-  if (reasoner_plan == nullptr && encoder_plan == nullptr) {
+  if (new_reasoner == nullptr && new_encoder == nullptr) {
     // Warm: both buckets settled (under the gate lock, by the gate this
     // call waited behind).
-    if (encoder) {
-      Remember(misses, EncodeMisses(*encoder->executor(), misses, rows));
+    if (encoder_plan != nullptr) {
+      Remember(misses, EncodeMisses(executors.encoder, *encoder_plan, misses,
+                                    rows));
     }
     hits_->Increment();
     if (stats != nullptr) stats->compiled = true;
-    return Denormalized(query, reasoner.executor()->RunReasoner(chains));
+    return Denormalized(query,
+                        executors.reasoner.RunReasoner(reasoner_plan, chains));
   }
 
   // First use of at least one bucket: run the programs, verify each new one
@@ -359,10 +303,10 @@ std::optional<core::BatchPrediction> StaticGraphRuntime::Serve(
   misses_->Increment();
   const float* encoded = nullptr;
   bool encoder_ok = true;
-  if (encoder) {
-    encoded = EncodeMisses(*encoder->executor(), misses, rows);
-    if (encoder_plan != nullptr) {
-      encoder_ok = VerifyEncoder(misses, *encoder_plan, encoded);
+  if (encoder_plan != nullptr) {
+    encoded = EncodeMisses(executors.encoder, *encoder_plan, misses, rows);
+    if (new_encoder != nullptr) {
+      encoder_ok = VerifyEncoder(misses, *new_encoder, encoded);
     }
   }
   bool reasoner_ran = false;
@@ -370,26 +314,27 @@ std::optional<core::BatchPrediction> StaticGraphRuntime::Serve(
   core::BatchPrediction compiled;
   std::optional<core::BatchPrediction> eager;
   if (encoder_ok) {
-    const float normalized = reasoner.executor()->RunReasoner(chains);
+    const float normalized =
+        executors.reasoner.RunReasoner(reasoner_plan, chains);
     reasoner_ran = true;
     compiled = Denormalized(query, normalized);
-    const bool int8 = options_.precision == Precision::kInt8;
+    const bool int8 = int8_ != nullptr;
     // At fp64 a new encoder bucket is settled by its rows alone; the final
     // value gates the reasoner, and at int8 every new bucket.
-    if (reasoner_plan != nullptr || int8) {
+    if (new_reasoner != nullptr || int8) {
       Tracer tracer;
       {
         tensor::ScopedOpObserver scope(&tracer);
         eager = Eager(query, chains);
       }
-      if (reasoner_plan != nullptr && model_.config().batched_encoder) {
+      if (new_reasoner != nullptr && model_.config().batched_encoder) {
         // The eager trace ran at the request's own length: the encoder
         // skeleton at (k, len), then the reasoner's at k. (The per-chain
         // encoder traces a different sequence; the value gate still holds.)
         std::vector<TraceEvent> expected =
             CompileEncoderPlan(model_, k, MaxTokens(chains)).expected_events;
-        expected.insert(expected.end(), reasoner_plan->expected_events.begin(),
-                        reasoner_plan->expected_events.end());
+        expected.insert(expected.end(), new_reasoner->expected_events.begin(),
+                        new_reasoner->expected_events.end());
         reasoner_ok = SkeletonMatches("reasoner", expected, tracer.events());
       }
       if (!VerifyValue(query, k, normalized, *eager)) {
@@ -398,22 +343,22 @@ std::optional<core::BatchPrediction> StaticGraphRuntime::Serve(
       }
     }
   }
-  if (encoder_plan != nullptr) {
+  if (new_encoder != nullptr) {
     if (encoder_ok) {
-      Settle(encoder->entry(), encoder_plan);
+      Settle(encoder_key, std::move(new_encoder));
     } else {
-      Pin(encoder->entry());
+      Pin(encoder_key);
     }
   }
-  if (reasoner_plan != nullptr && reasoner_ran) {
+  if (new_reasoner != nullptr && reasoner_ran) {
     if (reasoner_ok) {
-      Settle(reasoner.entry(), reasoner_plan);
+      Settle(reasoner_key, std::move(new_reasoner));
     } else {
-      Pin(reasoner.entry());
+      Pin(reasoner_key);
     }
   }
   const bool pass = encoder_ok && reasoner_ok;
-  if (pass && encoder) Remember(misses, encoded);
+  if (pass && encoder_plan != nullptr) Remember(misses, encoded);
 
   const int64_t gate_us =
       static_cast<int64_t>((trace::NowNs() - gate_start_ns) / 1000);
@@ -451,7 +396,7 @@ bool StaticGraphRuntime::VerifyEncoder(const Misses& misses, const Plan& plan,
     return false;
   }
   // Quantized rows cannot match bitwise; the final-value gate judges them.
-  if (options_.precision != Precision::kFp64) return true;
+  if (int8_ != nullptr) return true;
   const int64_t d = plan.dim;
   if (std::memcmp(encoded, eager.data().data(),
                   static_cast<size_t>(m * d) * sizeof(float)) != 0) {
@@ -466,7 +411,7 @@ bool StaticGraphRuntime::VerifyEncoder(const Misses& misses, const Plan& plan,
 bool StaticGraphRuntime::VerifyValue(const core::Query& query, int64_t k,
                                      float normalized,
                                      const core::BatchPrediction& eager) const {
-  if (options_.precision == Precision::kFp64) {
+  if (int8_ == nullptr) {
     const core::BatchPrediction compiled = Denormalized(query, normalized);
     if (BitwiseEqual(compiled.value, eager.value)) return true;
     CF_LOG(Warning) << "static-graph verify failed for reasoner bucket (k="
@@ -486,7 +431,7 @@ bool StaticGraphRuntime::VerifyValue(const core::Query& query, int64_t k,
     return true;
   }
   quant_fallbacks_->Increment();
-  CF_LOG(Warning) << "static-graph " << PrecisionName(options_.precision)
+  CF_LOG(Warning) << "static-graph " << PrecisionName(precision())
                   << " parity gate failed: |" << compiled_norm << " - "
                   << eager_norm << "| > " << kInt8VerifyTolerance
                   << " (normalized) at k=" << k
@@ -494,25 +439,23 @@ bool StaticGraphRuntime::VerifyValue(const core::Query& query, int64_t k,
   return false;
 }
 
-void StaticGraphRuntime::Settle(Entry& entry,
-                                std::shared_ptr<const Plan> plan) const {
+void StaticGraphRuntime::Settle(const BucketKey& key,
+                                std::unique_ptr<const Plan> plan) const {
   const int64_t bytes =
       plan->arena_floats * static_cast<int64_t>(sizeof(float));
   {
-    cf::MutexLock lock(entry.mu);
-    entry.plan = std::move(plan);
-    entry.ready = true;
+    cf::MutexLock lock(mu_);
+    plans_[key].plan = std::move(plan);
   }
   const int64_t total =
       arena_bytes_total_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   arena_bytes_->Set(static_cast<double>(total));
 }
 
-void StaticGraphRuntime::Pin(Entry& entry) const {
+void StaticGraphRuntime::Pin(const BucketKey& key) const {
   verify_failures_->Increment();
-  cf::MutexLock lock(entry.mu);
-  entry.eager_fallback = true;
-  entry.ready = true;
+  cf::MutexLock lock(mu_);
+  plans_[key].eager_fallback = true;
 }
 
 }  // namespace graph

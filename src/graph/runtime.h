@@ -25,15 +25,6 @@ namespace graph {
 /// report a tolerance of 0.
 inline constexpr double kInt8VerifyTolerance = 0.05;
 
-/// Construction-time knobs for the runtime's reduced-precision serving
-/// modes (DESIGN §6g).
-struct RuntimeOptions {
-  Precision precision = Precision::kFp64;
-  // Required when precision == kInt8: the checkpoint's quantized weights
-  // (rows must match this model's QuantizableLinears walk).
-  std::shared_ptr<const QuantStore> quant;
-};
-
 /// Row-storage budget of a runtime's pattern table: 8 MiB holds 32,768
 /// end-token rows at d = 64, several times the patterns a paper-scale
 /// graph's test and uniform keys produce.
@@ -57,9 +48,14 @@ inline constexpr int64_t kPatternTableBytes = int64_t{8} << 20;
 /// op-skeleton cross-check: the encoder program's rows bitwise against
 /// ChainEncoder::EndTokenRows, the reasoner program's value bitwise against
 /// PredictOnChainSets. At int8 both are judged by the final value, within
-/// kInt8VerifyTolerance in normalized space. A bucket that fails pins to the eager path permanently
-/// (plan.verify_failures) and the request writes nothing into the table.
-/// Warm requests pop pooled executors and run allocation-free.
+/// kInt8VerifyTolerance in normalized space. A bucket that fails pins to the
+/// eager path permanently (plan.verify_failures) and the request writes
+/// nothing into the table. A bucket holds only its immutable Plan: every
+/// calling thread runs both programs, gates included, in its own
+/// thread_local executor pair, so warm requests run allocation-free.
+///
+/// A runtime handed a QuantStore serves int8: it packs the store once and
+/// every plan it compiles points into those packs (DESIGN §6g).
 ///
 /// Counters: plan.cache_hits / plan.cache_misses count requests served by
 /// warm programs / requests that paid a first-use gate; plan.pattern_hits /
@@ -85,8 +81,7 @@ class StaticGraphRuntime {
     int64_t max_len = 0;  // encoder token length; 0 for the reasoner
     bool ready = false;
     bool eager_fallback = false;
-    int64_t idle_executors = 0;
-    int64_t arena_bytes = 0;
+    int64_t arena_bytes = 0;  // the plan's own arena
     // Numeric mode actually serving this bucket ("fp64" for a bucket the
     // parity gate pinned to the eager path) and the verify tolerance in use.
     const char* precision = "fp64";
@@ -101,9 +96,11 @@ class StaticGraphRuntime {
     bool full = false;  // new patterns are encoded per request, not kept
   };
 
-  explicit StaticGraphRuntime(const core::ChainsFormerModel& model);
-  StaticGraphRuntime(const core::ChainsFormerModel& model,
-                     RuntimeOptions options);
+  /// Serves fp64, or int8 when `quant` (the checkpoint's quantized weights,
+  /// rows matching this model's QuantizableLinears walk) is non-null; the
+  /// store is packed here and not referenced afterwards.
+  explicit StaticGraphRuntime(const core::ChainsFormerModel& model,
+                              const QuantStore* quant = nullptr);
 
   StaticGraphRuntime(const StaticGraphRuntime&) = delete;
   StaticGraphRuntime& operator=(const StaticGraphRuntime&) = delete;
@@ -126,29 +123,28 @@ class StaticGraphRuntime {
 
   PatternTableStats pattern_table() const;
 
-  Precision precision() const { return options_.precision; }
+  Precision precision() const {
+    return int8_ != nullptr ? Precision::kInt8 : Precision::kFp64;
+  }
   double verify_tolerance() const {
-    return options_.precision == Precision::kInt8 ? kInt8VerifyTolerance : 0.0;
+    return int8_ != nullptr ? kInt8VerifyTolerance : 0.0;
   }
 
  private:
-  struct Entry {
-    // Encoder buckets run only on table misses, rare once the table is
-    // warm, so they pool one idle executor; reasoner buckets pool as many
-    // as ran at once.
-    explicit Entry(size_t max_idle) : max_idle(max_idle) {}
-    const size_t max_idle;
-    cf::Mutex mu{"graph.plan_bucket"};
-    bool ready CF_GUARDED_BY(mu) = false;
-    bool eager_fallback CF_GUARDED_BY(mu) = false;
-    std::shared_ptr<const Plan> plan CF_GUARDED_BY(mu);
-    std::vector<std::unique_ptr<PlanExecutor>> idle CF_GUARDED_BY(mu);
-  };
   // (program, chains per run, token length).
   using BucketKey = std::tuple<Program, int64_t, int64_t>;
-
-
-  class Lease;
+  // A bucket is pending until its first-use gate settles it with a plan or
+  // pins it to the eager path; either is final.
+  struct Bucket {
+    std::unique_ptr<const Plan> plan;
+    bool eager_fallback = false;
+  };
+  /// What a request finds in a bucket.
+  struct Found {
+    const Plan* plan = nullptr;  // settled; lives as long as the runtime
+    bool eager_fallback = false;
+    bool cache_full = false;  // unseen, and the plan cache has no room
+  };
 
   /// One request's table misses and the encoder program input they make.
   struct Misses {
@@ -164,24 +160,23 @@ class StaticGraphRuntime {
                                       const core::TreeOfChains& chains) const;
   core::BatchPrediction Denormalized(const core::Query& query,
                                      float normalized) const;
-  /// The bucket for `key`, created on first sight; null when the plan
-  /// cache is full.
-  std::shared_ptr<Entry> Bucket(const BucketKey& key) const;
+  /// The state of the bucket for `key`, registered as pending on first
+  /// sight while the plan cache has room.
+  Found Find(const BucketKey& key) const;
   static BucketKey EncoderKey(const Misses& misses);
   static Misses CollectMisses(const core::TreeOfChains& chains,
                               PatternMisses missed);
   /// Runs the encoder program over the distinct missed patterns and copies
   /// each missed chain's row into `rows`. Returns the program's rows.
-  const float* EncodeMisses(PlanExecutor& encoder, const Misses& misses,
-                            float* rows) const;
+  const float* EncodeMisses(PlanExecutor& encoder, const Plan& plan,
+                            const Misses& misses, float* rows) const;
   /// Inserts the encoder program's rows into the pattern table.
   void Remember(const Misses& misses, const float* encoded) const;
   void CountPatterns(int64_t hits, int64_t misses) const;
   /// Serves a non-empty request through its encoder and reasoner buckets.
-  /// Without `gating`, returns nullopt (holding no executor) when a bucket
-  /// still waits for its first-use gate; with it (the caller holds
-  /// gate_mu_, so gates run one at a time) compiles and verifies the new
-  /// buckets.
+  /// Without `gating`, returns nullopt when a bucket still waits for its
+  /// first-use gate; with it (the caller holds gate_mu_, so gates run one
+  /// at a time) compiles and verifies the new buckets.
   std::optional<core::BatchPrediction> Serve(const core::Query& query,
                                              const core::TreeOfChains& chains,
                                              PredictStats* stats,
@@ -193,12 +188,13 @@ class StaticGraphRuntime {
   /// The final-value gate: bitwise at fp64, kInt8VerifyTolerance at int8.
   bool VerifyValue(const core::Query& query, int64_t k, float normalized,
                    const core::BatchPrediction& eager) const;
-  void Settle(Entry& entry, std::shared_ptr<const Plan> plan) const;
-  void Pin(Entry& entry) const;
+  void Settle(const BucketKey& key, std::unique_ptr<const Plan> plan) const;
+  void Pin(const BucketKey& key) const;
 
   const core::ChainsFormerModel& model_;
   const bool compiles_;
-  const RuntimeOptions options_;
+  // The packed int8 weights every plan points into; null serves fp64.
+  const std::shared_ptr<const Int8PackSet> int8_;
   metrics::Counter* hits_;
   metrics::Counter* misses_;
   metrics::Counter* verify_failures_;
@@ -214,8 +210,7 @@ class StaticGraphRuntime {
   // compilation and the compiled replay of every gate.
   mutable cf::Mutex gate_mu_{"graph.plan_gate"};
   mutable cf::Mutex mu_{"graph.plan_cache"};
-  mutable std::map<BucketKey, std::shared_ptr<Entry>> plans_
-      CF_GUARDED_BY(mu_);
+  mutable std::map<BucketKey, Bucket> plans_ CF_GUARDED_BY(mu_);
 };
 
 }  // namespace graph

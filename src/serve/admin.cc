@@ -159,7 +159,6 @@ std::string StatusJson(const InferenceService* service) {
          << ", \"eager_fallback\": " << (b.eager_fallback ? "true" : "false")
          << ", \"precision\": \"" << b.precision << "\""
          << ", \"verify_tolerance\": " << Num(b.verify_tolerance)
-         << ", \"idle_executors\": " << b.idle_executors
          << ", \"arena_bytes\": " << b.arena_bytes << "}";
       first = false;
     }
@@ -242,7 +241,6 @@ std::string PrometheusText(const InferenceService* service) {
     const auto buckets = rt->Stats();
     os << "# TYPE cf_plan_bucket_ready gauge\n";
     os << "# TYPE cf_plan_bucket_eager_fallback gauge\n";
-    os << "# TYPE cf_plan_bucket_idle_executors gauge\n";
     os << "# TYPE cf_plan_bucket_arena_bytes gauge\n";
     os << "# TYPE cf_plan_bucket_precision gauge\n";
     for (const auto& b : buckets) {
@@ -253,8 +251,6 @@ std::string PrometheusText(const InferenceService* service) {
       os << "cf_plan_bucket_ready" << labels << (b.ready ? 1 : 0) << "\n";
       os << "cf_plan_bucket_eager_fallback" << labels
          << (b.eager_fallback ? 1 : 0) << "\n";
-      os << "cf_plan_bucket_idle_executors" << labels << b.idle_executors
-         << "\n";
       os << "cf_plan_bucket_arena_bytes" << labels << b.arena_bytes << "\n";
       os << "cf_plan_bucket_precision{program=\"" << b.program << "\",k=\""
          << b.k << "\",max_len=\"" << b.max_len << "\",precision=\""

@@ -96,8 +96,7 @@ InferenceService::InferenceService(const core::ChainsFormerModel& model,
         options.compute_threads > 1 ? static_cast<size_t>(options.compute_threads)
                                     : 0);
   }
-  graph::RuntimeOptions ropts;
-  ropts.precision = options.precision;
+  const graph::QuantStore* quant = nullptr;  // serves int8 when set
   if (options.precision == graph::Precision::kInt8) {
     // Hard accuracy gate (DESIGN §6g): int8 serving needs a compiled encoder
     // and quantized weights whose recorded calibration error fits the
@@ -118,16 +117,15 @@ InferenceService::InferenceService(const core::ChainsFormerModel& model,
                       << options.quant->mae_delta << " exceeds the budget "
                       << kQuantErrorBudget << "; serving fp64";
     } else {
-      ropts.quant = options.quant;
+      quant = options.quant.get();
     }
     if (quant_rejected_) {
       metrics::MetricsRegistry::Global()
           .GetCounter(metrics::names::kServeQuantRejected)
           ->Increment();
-      ropts.precision = graph::Precision::kFp64;
     }
   }
-  runtime_ = std::make_unique<graph::StaticGraphRuntime>(model, ropts);
+  runtime_ = std::make_unique<graph::StaticGraphRuntime>(model, quant);
   // Trace-id seam: the salt comes from the model's deterministic RNG seed,
   // so a replayed process assigns the same ids in the same request order.
   trace_salt_ = Rng(static_cast<uint64_t>(model.config().seed)).Next();

@@ -1,10 +1,12 @@
 // Tests for src/graph: the eager-forward tracer, compiled-plan parity with
-// the eager tape (the DESIGN §6f bitwise gate), the pattern table,
-// zero-allocation steady-state execution, plan-cache bucketing, the service's
+// the eager tape (the DESIGN §6f bitwise gate), one executor running any
+// plan, int8 plans sharing one pack set, the pattern table, zero-allocation
+// steady-state execution, plan-cache bucketing, the service's
 // immediate-dispatch fix, and serving a model whose encoder does not compile.
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <new>
@@ -136,19 +138,6 @@ int64_t CounterValue(const std::string& name) {
   return metrics::MetricsRegistry::Global().Snapshot().CounterValue(name);
 }
 
-int64_t MaxTokens(const TreeOfChains& chains) {
-  int64_t max_tokens = 0;
-  for (const auto& c : chains) {
-    max_tokens = std::max<int64_t>(max_tokens, c.length() + 3);
-  }
-  return max_tokens;
-}
-
-std::unique_ptr<PlanExecutor> Executor(Plan plan) {
-  return std::make_unique<PlanExecutor>(
-      std::make_shared<const Plan>(std::move(plan)));
-}
-
 Query FirstQueryWithChains(const Trained& t) {
   for (const Query& q : HeldOutQueries(t.dataset, 8)) {
     if (!t.model->RetrieveChains(q).empty()) return q;
@@ -247,11 +236,115 @@ TEST(GraphPlanTest, EncoderRowsMatchEagerEndTokenRows) {
   for (const auto& [rows, len] :
        {std::pair<int64_t, int64_t>{k, MaxTokens(chains)},
         {2 * k + 1, MaxTokens(chains) + 2}}) {
-    auto encoder = Executor(CompileEncoderPlan(*t.model, rows, len));
-    const float* got = encoder->RunEncoder(chains);
+    PlanExecutor encoder;
+    const float* got =
+        encoder.RunEncoder(CompileEncoderPlan(*t.model, rows, len), chains);
     for (int64_t i = 0; i < k * d; ++i) {
       ASSERT_EQ(got[i], eager.data()[static_cast<size_t>(i)])
           << "element " << i << " at (" << rows << ", " << len << ")";
+    }
+  }
+}
+
+/// The first `n` chains retrieved over the held-out queries, in order.
+TreeOfChains ChainPool(const Trained& t, size_t n) {
+  TreeOfChains pool;
+  for (const Query& q : HeldOutQueries(t.dataset, 8)) {
+    for (core::RAChain& c : t.model->RetrieveChains(q)) {
+      pool.push_back(std::move(c));
+      if (pool.size() == n) return pool;
+    }
+  }
+  ADD_FAILURE() << "held-out queries retrieved fewer than " << n << " chains";
+  return pool;
+}
+
+// Two int8 plans compiled from one pack set, as a runtime compiles every
+// plan, point into the same packed weights: every quantized step of every
+// plan addresses a pack of the set, and each plan pins the set once.
+TEST(GraphPlanTest, Int8PlansPointIntoOnePackSet) {
+  Trained& t = Shared();
+  const std::shared_ptr<const Int8PackSet> int8 =
+      PackQuantStore(*t.model, BuildQuantStore(*t.model));
+  std::set<const tensor::kernels::Int8Pack*> in_set;
+  for (const auto& [linear, pack] : int8->packs) in_set.insert(&pack);
+  const Plan plans[] = {CompileEncoderPlan(*t.model, 16, 6, int8),
+                        CompileEncoderPlan(*t.model, 4, 6, int8),
+                        CompileReasonerPlan(*t.model, 16, int8),
+                        CompileReasonerPlan(*t.model, 3, int8)};
+  std::set<const tensor::kernels::Int8Pack*> used;
+  for (const Plan& plan : plans) {
+    EXPECT_EQ(plan.precision, Precision::kInt8);
+    int64_t quantized = 0;
+    for (const Step& st : plan.steps) {
+      if (st.kind == StepKind::kGemmInt8 || st.kind == StepKind::kDequantBias ||
+          st.kind == StepKind::kDequantBiasGelu) {
+        ASSERT_EQ(in_set.count(st.pack), 1u) << "a step packs its own weights";
+        used.insert(st.pack);
+        ++quantized;
+      } else {
+        EXPECT_EQ(st.pack, nullptr);
+      }
+    }
+    EXPECT_GT(quantized, 0);
+  }
+  EXPECT_EQ(used, in_set) << "some packed Linear serves no plan";
+  EXPECT_EQ(int8.use_count(), 1 + static_cast<long>(std::size(plans)));
+}
+
+// One executor runs any plan. Its arena, index arrays and int8 scratch grow
+// to the largest plan it has run and keep whatever an earlier run left, so
+// each output of encoder and reasoner plans of several sizes, interleaved on
+// one executor, must equal a fresh executor's run of the same plan bit for
+// bit, at fp64 and at int8.
+TEST(GraphExecutorTest, OneExecutorRunsInterleavedPlansBitwise) {
+  Trained& t = Shared();
+  const TreeOfChains pool = ChainPool(t, 16);
+  ASSERT_EQ(pool.size(), 16u);
+  TreeOfChains one = {pool[0]};
+  one[0].relations.resize(1);  // 4 tokens
+  const auto first = [&](size_t n) {
+    return TreeOfChains(pool.begin(),
+                        pool.begin() + static_cast<std::ptrdiff_t>(n));
+  };
+  const int64_t d = t.model->encoder().hidden_dim();
+  Rng rng(22);
+  std::vector<float> rows(static_cast<size_t>(16 * d));
+  for (float& x : rows) x = static_cast<float>(rng.Normal());
+
+  struct Run {
+    Plan plan;
+    TreeOfChains chains;
+  };
+  const auto output = [&](PlanExecutor& executor, const Run& r) {
+    if (r.plan.program == Program::kEncoder) {
+      const float* out = executor.RunEncoder(r.plan, r.chains);
+      return std::vector<float>(out, out + r.plan.chains * d);
+    }
+    std::copy(rows.begin(), rows.begin() + r.plan.chains * d,
+              executor.Rows(r.plan));
+    return std::vector<float>{executor.RunReasoner(r.plan, r.chains)};
+  };
+  const std::shared_ptr<const Int8PackSet> packs =
+      PackQuantStore(*t.model, BuildQuantStore(*t.model));
+  for (const std::shared_ptr<const Int8PackSet>& int8 :
+       {std::shared_ptr<const Int8PackSet>(), packs}) {
+    std::vector<Run> runs;
+    runs.push_back({CompileEncoderPlan(*t.model, 16, 6, int8), pool});
+    runs.push_back({CompileReasonerPlan(*t.model, 16, int8), pool});
+    runs.push_back({CompileEncoderPlan(*t.model, 1, 4, int8), one});
+    runs.push_back({CompileReasonerPlan(*t.model, 3, int8), first(3)});
+    runs.push_back({CompileEncoderPlan(*t.model, 4, 6, int8), first(4)});
+    runs.push_back({CompileReasonerPlan(*t.model, 16, int8), pool});
+    PlanExecutor shared;
+    for (size_t i = 0; i < runs.size(); ++i) {
+      PlanExecutor fresh;
+      const std::vector<float> want = output(fresh, runs[i]);
+      const std::vector<float> got = output(shared, runs[i]);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+          << PrecisionName(runs[i].plan.precision) << " run " << i;
     }
   }
 }
@@ -305,11 +398,13 @@ TEST(GraphExecutorTest, WarmedExecutorRunsWithoutAllocating) {
   const Query q = FirstQueryWithChains(t);
   const TreeOfChains chains = t.model->RetrieveChains(q);
   const int64_t k = static_cast<int64_t>(chains.size());
-  auto encoder = Executor(CompileEncoderPlan(*t.model, k, MaxTokens(chains)));
-  auto reasoner = Executor(CompileReasonerPlan(*t.model, k));
-  // Warm up: first run may fault in lazily-allocated thread-local kernel
-  // scratch; afterwards the executors own all their working memory.
-  const float warm = RunNormalized(*encoder, *reasoner, chains);
+  const Plan encoder = CompileEncoderPlan(*t.model, k, MaxTokens(chains));
+  const Plan reasoner = CompileReasonerPlan(*t.model, k);
+  ExecutorPair executors;
+  // Warm up: the first run grows the executors' working memory and may
+  // fault in lazily-allocated thread-local kernel scratch; afterwards the
+  // executors own all the memory these plans need.
+  const float warm = RunNormalized(executors, encoder, reasoner, chains);
   const core::BatchPrediction eager =
       t.model->PredictOnChainSets({q}, {&chains})[0];
   const auto& stats =
@@ -320,15 +415,19 @@ TEST(GraphExecutorTest, WarmedExecutorRunsWithoutAllocating) {
   g_alloc_count.store(0);
   g_alloc_counting.store(true);
   float v = 0.0f;
-  for (int i = 0; i < 16; ++i) v = RunNormalized(*encoder, *reasoner, chains);
+  for (int i = 0; i < 16; ++i) {
+    v = RunNormalized(executors, encoder, reasoner, chains);
+  }
   const int64_t both = g_alloc_count.load();
   const float* rows = nullptr;
-  for (int i = 0; i < 16; ++i) rows = encoder->RunEncoder(chains);
+  for (int i = 0; i < 16; ++i) {
+    rows = executors.encoder.RunEncoder(encoder, chains);
+  }
   const int64_t encoder_only = g_alloc_count.load() - both;
   for (int i = 0; i < 16; ++i) {
     // The program reuses its input rows' space: write them before each run.
-    std::copy(rows, rows + k * reasoner->plan().dim, reasoner->rows());
-    v = reasoner->RunReasoner(chains);
+    std::copy(rows, rows + k * reasoner.dim, executors.reasoner.Rows(reasoner));
+    v = executors.reasoner.RunReasoner(reasoner, chains);
   }
   const int64_t reasoner_only = g_alloc_count.load() - both - encoder_only;
   g_alloc_counting.store(false);
@@ -339,24 +438,34 @@ TEST(GraphExecutorTest, WarmedExecutorRunsWithoutAllocating) {
   EXPECT_EQ(reasoner_only, 0) << "steady-state RunReasoner allocated";
 }
 
+// Both sizes run in this thread's executors: a smaller k served after a
+// larger one fits in the memory the larger one grew.
 TEST(GraphRuntimeTest, WarmedRuntimePredictRunsWithoutAllocating) {
   Trained& t = Shared();
   StaticGraphRuntime runtime(*t.model);
   const Query q = FirstQueryWithChains(t);
   const TreeOfChains chains = t.model->RetrieveChains(q);
-  // First call compiles + verifies both programs and fills the pattern
-  // table; the second warms the pool. From then on every pattern hits.
+  ASSERT_GE(chains.size(), 2u);
+  const TreeOfChains fewer(
+      chains.begin(),
+      chains.begin() + static_cast<std::ptrdiff_t>(chains.size() / 2));
+  // The first call at each k compiles + verifies its programs, and the
+  // first fills the pattern table. From then on every pattern hits.
   const core::BatchPrediction first = runtime.Predict(q, chains);
-  runtime.Predict(q, chains);
+  const core::BatchPrediction first_fewer = runtime.Predict(q, fewer);
   const int64_t pattern_misses0 = CounterValue("plan.pattern_misses");
 
   g_alloc_count.store(0);
   g_alloc_counting.store(true);
-  core::BatchPrediction r;
-  for (int i = 0; i < 16; ++i) r = runtime.Predict(q, chains);
+  core::BatchPrediction r, r_fewer;
+  for (int i = 0; i < 16; ++i) {
+    r = runtime.Predict(q, chains);
+    r_fewer = runtime.Predict(q, fewer);
+  }
   g_alloc_counting.store(false);
 
   EXPECT_EQ(r.value, first.value);
+  EXPECT_EQ(r_fewer.value, first_fewer.value);
   EXPECT_EQ(g_alloc_count.load(), 0)
       << "steady-state Predict performed heap allocations";
   EXPECT_EQ(CounterValue("plan.pattern_misses"), pattern_misses0)
@@ -475,7 +584,7 @@ TEST(GraphRuntimeTest, TableRowsServeOtherTreesLengthsAndK) {
         if (it == first.end()) {
           ++expected_misses;
           new_patterns.insert(std::move(key));
-          miss_tokens = std::max<int64_t>(miss_tokens, c.length() + 3);
+          miss_tokens = std::max(miss_tokens, c.num_tokens());
           continue;
         }
         ++expected_hits;

@@ -1,12 +1,13 @@
 // Tests for DESIGN §6g, the int8 serving mode: precision-name parsing, int8
 // GEMM kernel determinism (bitwise across scalar/SIMD dispatch and thread
 // counts), quantized plan parity with the eager forward within the verify
-// tolerance, the per-bucket fallback when a corrupt scale busts the parity
-// gate (never a wrong answer), the serve-level accuracy-budget gate
-// (serve.quant_rejected), the CFSM v2 "quant_int8" checkpoint block
+// tolerance, concurrent int8 serving, the per-bucket fallback when a corrupt
+// scale busts the parity gate (never a wrong answer), the serve-level
+// accuracy-budget gate (serve.quant_rejected), the CFSM v2 "quant_int8" checkpoint block
 // (round-trip, unknown-block skip, old-format compatibility, corrupt-scale
 // death test), and the admin-surface precision reporting.
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -106,14 +108,6 @@ double EagerNormalized(const Trained& t, const Query& q,
       t.model->PredictOnChainSets({q}, {&chains})[0];
   return t.model->train_stats()[static_cast<size_t>(q.attribute)].Normalize(
       eager.value);
-}
-
-int64_t MaxTokens(const TreeOfChains& chains) {
-  int64_t max_tokens = 0;
-  for (const auto& c : chains) {
-    max_tokens = std::max<int64_t>(max_tokens, c.length() + 3);
-  }
-  return max_tokens;
 }
 
 // --- Precision names ---------------------------------------------------------
@@ -332,26 +326,26 @@ TEST(QuantPlanTest, Int8PlanMatchesEagerWithinTolerance) {
   const TreeOfChains chains = t.model->RetrieveChains(q);
   const int64_t k = static_cast<int64_t>(chains.size());
 
-  const auto encoder_plan = std::make_shared<const Plan>(CompileEncoderPlan(
-      *t.model, k, MaxTokens(chains), Precision::kInt8, &store));
-  const auto reasoner_plan = std::make_shared<const Plan>(
-      CompileReasonerPlan(*t.model, k, Precision::kInt8, &store));
-  for (const auto& plan : {encoder_plan, reasoner_plan}) {
+  const std::shared_ptr<const Int8PackSet> int8 =
+      PackQuantStore(*t.model, store);
+  const Plan encoder = CompileEncoderPlan(*t.model, k, MaxTokens(chains), int8);
+  const Plan reasoner = CompileReasonerPlan(*t.model, k, int8);
+  for (const Plan* plan : {&encoder, &reasoner}) {
     EXPECT_EQ(plan->precision, Precision::kInt8);
     EXPECT_GT(plan->quant_rows, 0);
   }
-  PlanExecutor encoder(encoder_plan);
-  PlanExecutor reasoner(reasoner_plan);
+  ExecutorPair executors;
   const double compiled = std::clamp(
-      static_cast<double>(RunNormalized(encoder, reasoner, chains)), -0.1, 1.1);
+      static_cast<double>(RunNormalized(executors, encoder, reasoner, chains)),
+      -0.1, 1.1);
   EXPECT_NEAR(compiled, EagerNormalized(t, q, chains), 0.05);
 
   // Bitwise deterministic: exact int32 accumulation and one fixed dequant
   // expression, regardless of the kernel thread count.
-  const float once = RunNormalized(encoder, reasoner, chains);
+  const float once = RunNormalized(executors, encoder, reasoner, chains);
   const int old_threads = tensor::kernels::KernelThreads();
   tensor::kernels::SetKernelThreads(4);
-  EXPECT_EQ(RunNormalized(encoder, reasoner, chains), once);
+  EXPECT_EQ(RunNormalized(executors, encoder, reasoner, chains), once);
   tensor::kernels::SetKernelThreads(old_threads);
 }
 
@@ -367,9 +361,10 @@ TEST(QuantPlanTest, QuantizedPlansKeepTheEagerOpSkeleton) {
 
   const Plan fp64[] = {CompileEncoderPlan(*t.model, k, len),
                        CompileReasonerPlan(*t.model, k)};
-  const Plan int8[] = {
-      CompileEncoderPlan(*t.model, k, len, Precision::kInt8, &store),
-      CompileReasonerPlan(*t.model, k, Precision::kInt8, &store)};
+  const std::shared_ptr<const Int8PackSet> packs =
+      PackQuantStore(*t.model, store);
+  const Plan int8[] = {CompileEncoderPlan(*t.model, k, len, packs),
+                       CompileReasonerPlan(*t.model, k, packs)};
   for (int p = 0; p < 2; ++p) {
     ASSERT_EQ(int8[p].expected_events.size(), fp64[p].expected_events.size());
     for (size_t i = 0; i < fp64[p].expected_events.size(); ++i) {
@@ -383,10 +378,8 @@ TEST(QuantPlanTest, QuantizedPlansKeepTheEagerOpSkeleton) {
 
 TEST(QuantRuntimeTest, Int8RuntimeServesHeldOutQueriesWithinTolerance) {
   Trained& t = Shared();
-  RuntimeOptions options;
-  options.precision = Precision::kInt8;
-  options.quant = std::make_shared<const QuantStore>(BuildQuantStore(*t.model));
-  StaticGraphRuntime runtime(*t.model, options);
+  const QuantStore store = BuildQuantStore(*t.model);
+  StaticGraphRuntime runtime(*t.model, &store);
   EXPECT_EQ(runtime.precision(), Precision::kInt8);
   EXPECT_EQ(runtime.verify_tolerance(), 0.05);
 
@@ -424,6 +417,47 @@ TEST(QuantRuntimeTest, Int8RuntimeServesHeldOutQueriesWithinTolerance) {
   EXPECT_TRUE(saw_int8_bucket);
 }
 
+// Four threads share one cold int8 runtime, so first-use gates, table fills
+// and warm runs in each thread's own executors interleave over the one pack
+// set every plan points into (Tsan runs this binary: it carries the
+// `threaded` label). Every answer equals a one-thread run's bit for bit.
+TEST(QuantRuntimeTest, ConcurrentInt8PredictsMatchOneThread) {
+  Trained& t = Shared();
+  const QuantStore store = BuildQuantStore(*t.model);
+  std::vector<Query> queries = HeldOutQueries(t.dataset, 32);
+  queries.resize(32);
+  std::vector<TreeOfChains> chains(queries.size());
+  std::vector<double> want(queries.size());
+  const int64_t fallbacks0 = CounterValue("plan.quant_fallbacks");
+  {
+    StaticGraphRuntime one_thread(*t.model, &store);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      chains[i] = t.model->RetrieveChains(queries[i]);
+      want[i] = one_thread.Predict(queries[i], chains[i]).value;
+    }
+  }
+
+  StaticGraphRuntime runtime(*t.model, &store);
+  constexpr int kThreads = 4;
+  std::atomic<int64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (size_t j = 0; j < queries.size(); ++j) {
+        const size_t i = (static_cast<size_t>(w) * 8 + j) % queries.size();
+        if (runtime.Predict(queries[i], chains[i]).value != want[i]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(mismatches.load(std::memory_order_relaxed), 0);
+  EXPECT_EQ(CounterValue("plan.quant_fallbacks") - fallbacks0, 0)
+      << "a failed gate serves eager bits where the other run served int8";
+}
+
 TEST(QuantRuntimeTest, CorruptScaleFallsBackToEagerPerBucket) {
   Trained& t = Shared();
   QuantStore bad = BuildQuantStore(*t.model);
@@ -432,10 +466,7 @@ TEST(QuantRuntimeTest, CorruptScaleFallsBackToEagerPerBucket) {
   for (auto& lin : bad.linears) {
     for (float& s : lin.scale) s *= 64.0f;
   }
-  RuntimeOptions options;
-  options.precision = Precision::kInt8;
-  options.quant = std::make_shared<const QuantStore>(std::move(bad));
-  StaticGraphRuntime runtime(*t.model, options);
+  StaticGraphRuntime runtime(*t.model, &bad);
 
   const Query q = FirstQueryWithChains(t);
   const TreeOfChains chains = t.model->RetrieveChains(q);
