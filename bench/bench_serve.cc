@@ -24,7 +24,7 @@
 // A multi-process section (--shard-sweep, default on) then spawns real
 // chainsformer_serve shard fleets of 1/2/4/8 processes behind an in-process
 // fan-out router and records QPS/p50/p99 per shard count under a flash
-// crowd whose hot set exceeds one shard's ToC cache, plus a kill-one-shard
+// crowd whose hot set exceeds one shard's answer cache, plus a kill-one-shard
 // scenario (DESIGN §6i; see RunShardSweep below).
 //
 // Usage:
@@ -102,8 +102,9 @@ double Percentile(std::vector<int64_t>& sorted, double p) {
 }
 
 /// Drives `client_threads` concurrent clients over a shared working set of
-/// queries (cache-warm steady state, where the model pass dominates and
-/// batching has to earn its keep). `hot_set` > 0 restricts every request to
+/// queries (cache-warm steady state: a working set within the answer cache
+/// makes every timed request an answer hit that never reaches the
+/// dispatcher). `hot_set` > 0 restricts every request to
 /// the first `hot_set` queries (the flash-crowd workload); 0 strides over
 /// the whole set. Returns aggregate throughput + latency.
 LoadResult RunLoad(const core::ChainsFormerModel& model,
@@ -116,8 +117,8 @@ LoadResult RunLoad(const core::ChainsFormerModel& model,
                                              working_set.size())
                           : working_set.size();
 
-  // Warmup: touch every query once so the ToC cache is hot and the first
-  // timed request does not pay the retrieval cost.
+  // Warmup: touch every query once so the answer cache is hot and no timed
+  // request pays retrieval or the forward pass.
   for (const core::Query& q : working_set) (void)service.Predict(q);
 
   std::vector<std::vector<int64_t>> latencies(
@@ -197,10 +198,11 @@ struct Record {
 // Spawns real chainsformer_serve shard processes over a checkpoint written
 // to a temp dir, fronts them with an in-process serve::Router, and sweeps
 // the shard count under a flash-crowd workload whose hot set exceeds one
-// shard's ToC cache. On a single hardware thread the shards buy no compute
+// shard's answer cache. On a single hardware thread the shards buy no compute
 // parallelism — the speedup is aggregate cache capacity: one shard's LRU
-// thrashes (every request re-pays chain retrieval), while at 8 shards each
-// consistent-hashed slice fits its owner's cache and requests ride hits.
+// thrashes (every request re-pays retrieval and the forward pass), while
+// at 8 shards each consistent-hashed slice fits its owner's cache and
+// requests ride hits.
 // A final run SIGKILLs one shard mid-stream and asserts the router's
 // contract: every in-flight request completes (rerouted or degraded),
 // nothing hangs.
@@ -310,7 +312,7 @@ ShardRow RunRouterLoad(serve::Router& router,
                        int per_client, pid_t kill_pid = -1,
                        int kill_after = 0) {
   // Warmup outside the timed window: one pass over the hot set fills every
-  // owning shard's ToC cache (or, at low shard counts, proves it cannot).
+  // owning shard's answer cache (or, at low shard counts, proves it cannot).
   for (size_t i = 0; i < hot_entities.size(); ++i) {
     (void)router.HandleLine("{\"entity\": \"" + hot_entities[i] +
                             "\", \"attribute\": \"" + attribute + "\"}");

@@ -86,6 +86,12 @@ StaticGraphRuntime::StaticGraphRuntime(const core::ChainsFormerModel& model,
   pattern_bytes_ = reg.GetGauge(metrics::names::kPlanPatternBytes);
 }
 
+StaticGraphRuntime::~StaticGraphRuntime() {
+  arena_bytes_->Add(
+      -static_cast<double>(arena_bytes_total_.load(std::memory_order_relaxed)));
+  pattern_bytes_->Add(-static_cast<double>(table_.bytes()));
+}
+
 bool StaticGraphRuntime::Supports(const core::ChainsFormerModel& model) {
   return model.config().encoder_type == core::EncoderType::kTransformer;
 }
@@ -166,8 +172,10 @@ const float* StaticGraphRuntime::EncodeMisses(PlanExecutor& encoder,
 
 void StaticGraphRuntime::Remember(const Misses& misses,
                                   const float* encoded) const {
-  if (table_.Insert(misses.unique, encoded) > 0) {
-    pattern_bytes_->Set(static_cast<double>(table_.bytes()));
+  const int64_t added = table_.Insert(misses.unique, encoded);
+  if (added > 0) {
+    pattern_bytes_->Add(static_cast<double>(
+        added * table_.dim() * static_cast<int64_t>(sizeof(float))));
   }
 }
 
@@ -447,9 +455,8 @@ void StaticGraphRuntime::Settle(const BucketKey& key,
     cf::MutexLock lock(mu_);
     plans_[key].plan = std::move(plan);
   }
-  const int64_t total =
-      arena_bytes_total_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  arena_bytes_->Set(static_cast<double>(total));
+  arena_bytes_total_.fetch_add(bytes, std::memory_order_relaxed);
+  arena_bytes_->Add(static_cast<double>(bytes));
 }
 
 void StaticGraphRuntime::Pin(const BucketKey& key) const {

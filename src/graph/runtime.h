@@ -60,7 +60,9 @@ inline constexpr int64_t kPatternTableBytes = int64_t{8} << 20;
 /// Counters: plan.cache_hits / plan.cache_misses count requests served by
 /// warm programs / requests that paid a first-use gate; plan.pattern_hits /
 /// plan.pattern_misses count chains; gauges plan.arena_bytes (live plans)
-/// and plan.pattern_bytes (table rows).
+/// and plan.pattern_bytes (table rows) are totals over the process's live
+/// runtimes: each adds what it settles or inserts and takes its share back
+/// when destroyed.
 ///
 /// Thread-safe: Predict may be called concurrently once the model is
 /// trained; the model must outlive the runtime.
@@ -101,6 +103,8 @@ class StaticGraphRuntime {
   /// store is packed here and not referenced afterwards.
   explicit StaticGraphRuntime(const core::ChainsFormerModel& model,
                               const QuantStore* quant = nullptr);
+
+  ~StaticGraphRuntime();
 
   StaticGraphRuntime(const StaticGraphRuntime&) = delete;
   StaticGraphRuntime& operator=(const StaticGraphRuntime&) = delete;
@@ -204,6 +208,7 @@ class StaticGraphRuntime {
   metrics::Counter* pattern_misses_;
   metrics::Gauge* arena_bytes_;
   metrics::Gauge* pattern_bytes_;
+  // This runtime's share of arena_bytes_ (its settled plans' arenas).
   mutable std::atomic<int64_t> arena_bytes_total_{0};
   mutable PatternTable table_;
   // Serializes first-use gates: held through the eager forward, the

@@ -13,7 +13,7 @@ class InferenceService;
 /// Builds the live status document served at /statusz (and by the
 /// `{"cmd": "statusz"}` NDJSON escape on the main port): cumulative
 /// counters/gauges, sliding-window per-phase p50/p90/p99, SLO rates
-/// (deadline-miss and degraded-by-cause over the window), ToC cache hit
+/// (deadline-miss and degraded-by-cause over the window), answer cache hit
 /// rate, and per-bucket static-plan stats. Always a single line of JSON so
 /// it can ride an NDJSON stream unframed. `service` may be null (plan and
 /// option fields are then omitted); snapshotting never blocks the serve hot

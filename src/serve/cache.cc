@@ -19,20 +19,24 @@ uint64_t CacheKey(kg::EntityId entity, kg::AttributeId attribute) {
 
 }  // namespace
 
-ShardedChainCache::ShardedChainCache(size_t capacity, size_t shards)
+template <typename Value>
+ShardedLruCache<Value>::ShardedLruCache(size_t capacity, size_t shards)
     : per_shard_capacity_(std::max<size_t>(1, (capacity + shards - 1) /
                                                   std::max<size_t>(1, shards))),
       shards_(std::max<size_t>(1, shards)) {
-  CF_CHECK(shards >= 1) << "ShardedChainCache: shards must be >= 1";
+  CF_CHECK(shards >= 1) << "ShardedLruCache: shards must be >= 1";
 }
 
-ShardedChainCache::Shard& ShardedChainCache::ShardFor(uint64_t key) {
+template <typename Value>
+typename ShardedLruCache<Value>::Shard& ShardedLruCache<Value>::ShardFor(
+    uint64_t key) {
   // Mixed so shard assignment does not depend on attribute id bits alone.
   return shards_[Mix64(key) % shards_.size()];
 }
 
-bool ShardedChainCache::Get(kg::EntityId entity, kg::AttributeId attribute,
-                            core::TreeOfChains* out) {
+template <typename Value>
+bool ShardedLruCache<Value>::Get(kg::EntityId entity,
+                                 kg::AttributeId attribute, Value* out) {
   static auto* hits =
       metrics::MetricsRegistry::Global().GetCounter(metrics::names::kServeCacheHits);
   static auto* misses =
@@ -45,7 +49,7 @@ bool ShardedChainCache::Get(kg::EntityId entity, kg::AttributeId attribute,
     if (it != shard.index.end()) {
       // Move to front (most-recently-used) and copy out.
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      *out = shard.lru.front().chains;
+      *out = shard.lru.front().value;
       hits->Increment();
       return true;
     }
@@ -54,14 +58,15 @@ bool ShardedChainCache::Get(kg::EntityId entity, kg::AttributeId attribute,
   return false;
 }
 
-void ShardedChainCache::Put(kg::EntityId entity, kg::AttributeId attribute,
-                            core::TreeOfChains chains) {
+template <typename Value>
+void ShardedLruCache<Value>::Put(kg::EntityId entity,
+                                 kg::AttributeId attribute, Value value) {
   const uint64_t key = CacheKey(entity, attribute);
   Shard& shard = ShardFor(key);
   cf::MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->chains = std::move(chains);
+    it->second->value = std::move(value);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
@@ -69,11 +74,12 @@ void ShardedChainCache::Put(kg::EntityId entity, kg::AttributeId attribute,
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
   }
-  shard.lru.push_front(Entry{key, std::move(chains)});
+  shard.lru.push_front(Entry{key, std::move(value)});
   shard.index[key] = shard.lru.begin();
 }
 
-size_t ShardedChainCache::size() const {
+template <typename Value>
+size_t ShardedLruCache<Value>::size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     cf::MutexLock lock(shard.mu);
@@ -81,6 +87,9 @@ size_t ShardedChainCache::size() const {
   }
   return total;
 }
+
+template class ShardedLruCache<core::BatchPrediction>;
+template class ShardedLruCache<core::TreeOfChains>;
 
 }  // namespace serve
 }  // namespace chainsformer

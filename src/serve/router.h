@@ -24,7 +24,7 @@ inline constexpr int kVnodesPerShard = 64;
 /// nodes each (DESIGN §6i). Entities hash to a point on a 64-bit ring; the
 /// owning shard is the first vnode at or after that point. Adding a shard
 /// moves ~1/(N+1) of the keys (router_test pins this), so growing a fleet
-/// mostly preserves every shard's warm ToC cache — the whole reason the
+/// mostly preserves every shard's warm answer cache — the whole reason the
 /// partition exists. Deterministic across processes: router and shards
 /// build identical rings from the shard count alone.
 class HashRing {

@@ -159,11 +159,12 @@ double InferenceService::Fallback(kg::AttributeId attribute) const {
 ServeResponse InferenceService::Predict(const core::Query& query,
                                         uint64_t trace_id) {
   CF_TRACE_SCOPE("serve.predict");
-  // The request reads the tracer clock at its arrival, at the end of the
-  // cache lookup (also its enqueue time) and at its answer; the dispatcher
+  // A dispatched request reads the tracer clock at its arrival, at the end
+  // of retrieval (also its enqueue time) and at its answer; the dispatcher
   // reads it once when it collects a batch and once when the batch's
-  // compute ends. Every phase boundary shares one of those reads — the
-  // per-request bill bench/perf_microbench prices.
+  // compute ends. An answer-cache hit reads it at arrival and answer only.
+  // Every phase boundary shares one of those reads — the per-request bill
+  // bench/perf_microbench prices.
   const uint64_t start_ns = trace::NowNs();
   const bool has_deadline = options_.deadline_ms > 0;
   if (trace_id == 0) {
@@ -174,16 +175,14 @@ ServeResponse InferenceService::Predict(const core::Query& query,
     trace_id = Mix64(trace_salt_ ^ trace_seq_.fetch_add(1, std::memory_order_relaxed));
     if (trace_id == 0) trace_id = 1;
   }
-  // Visible to the dispatcher from here until the request joins the queue
-  // (or bails out): while any request is arriving, the coalescing window is
-  // worth opening.
-  arriving_.fetch_add(1, std::memory_order_relaxed);
 
   auto finish = [&](ServeResponse r) {
     r.trace_id = trace_id;
     const uint64_t end_ns = trace::NowNs();
     r.end_ns = end_ns;
     r.latency_us = static_cast<int64_t>((end_ns - start_ns) / 1000);
+    // A cache hit spends its whole request in the cache phase.
+    if (r.cache_hit) r.cache_us = r.latency_us;
     // The windows reuse the end-of-request timestamp (TimeWheel::NowMs
     // shares the tracer clock), so the updates below cost one clock read
     // total, not one each — the guardrail in perf_microbench depends on it.
@@ -216,23 +215,35 @@ ServeResponse InferenceService::Predict(const core::Query& query,
       if (r.degraded) ann.cause = r.source == "deadline" ? "deadline"
                                   : r.source == "empty_toc" ? "empty_toc"
                                                             : "shutdown";
+      if (r.cache_hit) {
+        trace::EmitSpan("serve.cache_lookup", start_ns, end_ns, trace_id);
+      }
       trace::EmitSpan("serve.request", start_ns, end_ns, ann);
     }
     return r;
   };
 
-  // Retrieval runs on the client thread (it parallelizes across clients and
-  // is the part the LRU cache can skip entirely).
-  core::TreeOfChains chains;
-  bool cache_hit = false;
+  // An answer-cache hit answers here, on the calling thread.
   const bool cache_enabled = options_.cache_capacity > 0;
-  if (cache_enabled && cache_.Get(query.entity, query.attribute, &chains)) {
-    cache_hit = true;
-  } else {
-    CF_TRACE_SCOPE("serve.retrieve_miss");
-    chains = model_.RetrieveChains(query);
-    if (cache_enabled) cache_.Put(query.entity, query.attribute, chains);
+  core::BatchPrediction cached;
+  if (cache_enabled && cache_.Get(query.entity, query.attribute, &cached)) {
+    ServeResponse r;
+    r.value = cached.value;
+    r.degraded = !cached.has_evidence;
+    r.source = cached.has_evidence ? "model" : "empty_toc";
+    if (cached.has_evidence) {
+      r.precision = graph::PrecisionName(runtime_->precision());
+    }
+    r.cache_hit = true;
+    return finish(r);
   }
+
+  // Visible to the dispatcher from here until the request joins the queue
+  // (or bails out): while any request is arriving, the coalescing window is
+  // worth opening.
+  arriving_.fetch_add(1, std::memory_order_relaxed);
+  // Retrieval runs on the client thread (it parallelizes across clients).
+  core::TreeOfChains chains = model_.RetrieveChains(query);
   const uint64_t cache_end_ns = trace::NowNs();
   const int64_t cache_us =
       static_cast<int64_t>((cache_end_ns - start_ns) / 1000);
@@ -243,8 +254,11 @@ ServeResponse InferenceService::Predict(const core::Query& query,
     r.value = Fallback(query.attribute);
     r.degraded = true;
     r.source = "empty_toc";
-    r.cache_hit = cache_hit;
     r.cache_us = cache_us;
+    if (cache_enabled) {
+      cache_.Put(query.entity, query.attribute,
+                 core::BatchPrediction{r.value, /*has_evidence=*/false});
+    }
     return finish(r);
   }
 
@@ -252,8 +266,8 @@ ServeResponse InferenceService::Predict(const core::Query& query,
   pending->query = query;
   pending->chains = std::move(chains);
   pending->trace_id = trace_id;
-  // Queue wait runs from the end of the cache lookup, so it includes any
-  // wait for the queue lock.
+  // Queue wait runs from the end of retrieval, so it includes any wait for
+  // the queue lock.
   pending->enqueue_ns = cache_end_ns;
   {
     cf::MutexLock lock(queue_mu_);
@@ -263,7 +277,6 @@ ServeResponse InferenceService::Predict(const core::Query& query,
       r.value = Fallback(query.attribute);
       r.degraded = true;
       r.source = "shutdown";
-      r.cache_hit = cache_hit;
       r.cache_us = cache_us;
       return finish(r);
     }
@@ -273,8 +286,9 @@ ServeResponse InferenceService::Predict(const core::Query& query,
 
   cf::MutexLock lock(pending->mu);
   if (has_deadline) {
-    // The deadline counts from arrival: what the cache lookup used of it
-    // is gone (the wait starts within a microsecond of cache_end_ns).
+    // The deadline counts from arrival: what the cache lookup and retrieval
+    // used of it is gone (the wait starts within a microsecond of
+    // cache_end_ns).
     const std::chrono::nanoseconds left =
         std::chrono::milliseconds(options_.deadline_ms) -
         std::chrono::nanoseconds(cache_end_ns - start_ns);
@@ -286,19 +300,17 @@ ServeResponse InferenceService::Predict(const core::Query& query,
   }
   if (!pending->done) {
     // Deadline expired while queued or mid-batch. The dispatcher may still
-    // complete the request later (it holds its own reference), but this
-    // client answers now with the degraded fallback.
+    // complete the request later (it holds its own reference, and stores the
+    // answer), but this client answers now with the degraded fallback.
     ServeResponse r;
     r.value = Fallback(query.attribute);
     r.degraded = true;
     r.source = "deadline";
-    r.cache_hit = cache_hit;
     r.cache_us = cache_us;
     r.queue_us =
         static_cast<int64_t>((trace::NowNs() - pending->enqueue_ns) / 1000);
     return finish(r);
   }
-  pending->response.cache_hit = cache_hit;
   pending->response.cache_us = cache_us;
   return finish(pending->response);
 }
@@ -423,6 +435,14 @@ void InferenceService::DispatchLoop() {
     const uint64_t compute_end_ns = trace::NowNs();
     const int64_t compute_us =
         static_cast<int64_t>((compute_end_ns - collect_ns) / 1000);
+    // Stored before any client wakes, so a client's next request for the
+    // key is a hit; stored even for a client that already left on its
+    // deadline.
+    if (options_.cache_capacity > 0) {
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        cache_.Put(queries[qi].entity, queries[qi].attribute, results[qi]);
+      }
+    }
     const bool tracing = trace::Enabled();
     for (size_t i = 0; i < batch.size(); ++i) {
       const auto& p = batch[i];

@@ -45,8 +45,8 @@ struct ServeOptions {
   /// within this budget degrades to the attribute-mean fallback instead of
   /// blocking the client. <= 0 disables deadlines.
   int64_t deadline_ms = 50;
-  /// Tree-of-Chains retrieval cache entries across all shards (0 disables
-  /// caching).
+  /// Answer cache entries across all shards (0 disables caching). A hit
+  /// answers on the calling thread, skipping retrieval and the dispatcher.
   size_t cache_capacity = 4096;
   size_t cache_shards = 16;
   /// Worker threads the dispatcher fans a micro-batch's per-query forwards
@@ -88,7 +88,8 @@ struct ServeResponse {
   /// True when a duplicate (entity, attribute) request in the same batch
   /// did the forward pass for this one.
   bool dedup_collapsed = false;
-  /// True when the Tree of Chains came out of the LRU cache.
+  /// True when the answer came out of the LRU answer cache: the request
+  /// then never reached the dispatcher (batch_id -1, batch_size 0).
   bool cache_hit = false;
   /// Numeric mode that computed this value: the runtime's serving
   /// precision, or "fp64" for degraded answers.
@@ -97,7 +98,8 @@ struct ServeResponse {
   /// Per-phase breakdown of latency_us. queue/window/compute/verify are 0
   /// for requests degraded before dispatch; verify_us > 0 only when this
   /// request paid a plan bucket's first-use compile+verify gate.
-  int64_t cache_us = 0;    // ToC cache lookup + (on miss) retrieval
+  int64_t cache_us = 0;    // answer cache lookup + (on miss) retrieval;
+                           // a hit's whole request
   int64_t queue_us = 0;    // enqueue -> dispatcher wake
   int64_t window_us = 0;   // coalescing-window share of the wait
   int64_t compute_us = 0;  // forward pass of the owning micro-batch
@@ -111,13 +113,15 @@ struct ServeResponse {
 
 /// Batching inference front-end for a loaded ChainsFormerModel.
 ///
-/// N client threads call Predict() concurrently. Each client thread
-/// retrieves the query's Tree of Chains itself (through the sharded LRU
-/// cache, so hot queries skip the random-walk cost), then parks the request
-/// on a queue; a single dispatcher thread groups queued requests into
-/// micro-batches and answers each unique query through the
+/// N client threads call Predict() concurrently. Each client thread first
+/// looks the query up in the sharded LRU answer cache: a hit answers right
+/// there, with no retrieval, queue or dispatcher. On a miss the client
+/// retrieves the query's Tree of Chains itself, then parks the request on a
+/// queue; a single dispatcher thread groups queued requests into
+/// micro-batches, answers each unique query through the
 /// graph::StaticGraphRuntime (compiled plans, DESIGN §6f; the runtime
-/// itself falls back to the eager tape where a plan cannot serve). Two
+/// itself falls back to the eager tape where a plan cannot serve), and
+/// stores each answer in the cache before it wakes the batch's clients. Two
 /// effects make the batch cheaper than dispatching its requests one at a
 /// time (DESIGN §6e): duplicate (entity, attribute) requests are coalesced
 /// into a single forward pass (sound because predictions are
@@ -127,7 +131,9 @@ struct ServeResponse {
 ///
 /// Results are bitwise-identical to calling ChainsFormerModel::Predict on
 /// the same query (DESIGN §6c batching invariance), regardless of which
-/// requests share a batch.
+/// requests share a batch or whether the answer came from the cache: the
+/// model and graph are frozen for the service's lifetime, so a query's
+/// answer never changes. Deadline and shutdown fallbacks are never cached.
 ///
 /// Precondition: `model` outlives the service and is trained; it must not
 /// be mutated (trained further) while the service is running.
@@ -187,7 +193,8 @@ class InferenceService {
 
   const core::ChainsFormerModel& model_;
   const ServeOptions options_;
-  ShardedChainCache cache_;
+  /// Answers by query: model answers, and the fallback for an empty ToC.
+  ShardedLruCache<core::BatchPrediction> cache_;
   /// Train-mean fallback per attribute, precomputed so the degraded path
   /// never touches shared mutable state.
   std::vector<double> fallback_values_;
@@ -198,8 +205,8 @@ class InferenceService {
   std::unique_ptr<graph::StaticGraphRuntime> runtime_;
   bool quant_rejected_ = false;
 
-  /// Requests that have entered Predict() but not yet joined the queue
-  /// (they are retrieving chains on their client thread). The dispatcher
+  /// Requests that missed the answer cache but have not yet joined the
+  /// queue (they are retrieving chains on their client thread). The dispatcher
   /// only opens the coalescing window when this is non-zero — with nothing
   /// on the way, waiting batch_window_us would buy no batching and cost
   /// pure latency (the uniform-workload regression; counted by

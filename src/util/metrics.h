@@ -357,10 +357,12 @@ class Counter {
   internal::CounterCells cells_;
 };
 
-/// Last-write-wins floating-point metric (e.g. current loss).
+/// Last-write-wins floating-point metric (e.g. current loss), or a process
+/// total that several owners Add() their shares to.
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
+  void Add(double delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   double Value() const { return value_.load(std::memory_order_relaxed); }
   const std::string& name() const { return name_; }
 

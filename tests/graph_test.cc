@@ -505,9 +505,15 @@ TEST(GraphRuntimeTest, BucketMissRetracesAndHitReuses) {
   EXPECT_EQ(CounterValue("plan.cache_misses") - misses0, 2);
   EXPECT_EQ(CounterValue("plan.cache_hits") - hits0, 2);
 
+  // The gauge is a process total: it grew by exactly this runtime's plans.
+  int64_t own_arena_bytes = 0;
+  for (const StaticGraphRuntime::BucketStats& s : runtime.Stats()) {
+    own_arena_bytes += s.arena_bytes;
+  }
+  EXPECT_GT(own_arena_bytes, 0) << "compiled plans did not report arena bytes";
   const double arena1 =
       metrics::MetricsRegistry::Global().GetGauge("plan.arena_bytes")->Value();
-  EXPECT_GT(arena1, arena0) << "compiled plans did not report arena bytes";
+  EXPECT_EQ(arena1 - arena0, static_cast<double>(own_arena_bytes));
 }
 
 // --- Pattern table -----------------------------------------------------------

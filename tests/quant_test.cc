@@ -511,6 +511,11 @@ TEST(QuantServiceTest, Int8ServiceAnswersAndTagsResponses) {
   const serve::ServeResponse r = service.Predict(q);
   EXPECT_EQ(r.source, "model");
   EXPECT_STREQ(r.precision, "int8");
+  // The answer cache serves the first int8 answer, still tagged int8.
+  const serve::ServeResponse hit = service.Predict(q);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.value, r.value);
+  EXPECT_STREQ(hit.precision, "int8");
 
   // The admin surfaces report the serving precision.
   const std::string status = serve::StatusJson(&service);

@@ -1,5 +1,6 @@
-// Tests for src/serve: CFSM checkpoint round-trips, the sharded ToC cache,
-// and the batching InferenceService (deadlines, degradation, concurrency).
+// Tests for src/serve: CFSM checkpoint round-trips, the sharded LRU cache,
+// and the batching InferenceService (answer cache, deadlines, degradation,
+// concurrency).
 
 #include <atomic>
 #include <chrono>
@@ -23,6 +24,8 @@
 #include "serve/service.h"
 #include "util/metrics.h"
 #include "util/trace.h"
+
+#include "ring_with_island.h"
 
 namespace chainsformer {
 namespace serve {
@@ -300,6 +303,10 @@ std::vector<Query> RetrievableQueries(Trained& t, size_t n) {
 
 Query RetrievableQuery(Trained& t) { return RetrievableQueries(t, 1).front(); }
 
+int64_t CounterValue(const char* name) {
+  return metrics::MetricsRegistry::Global().Snapshot().CounterValue(name);
+}
+
 /// Polls `done` until it holds. The tests below wait for a state, never for
 /// a wall-clock interval, so their outcome does not depend on scheduling.
 template <typename Done>
@@ -360,6 +367,125 @@ TEST(InferenceServiceTest, DuplicateQueriesCoalesceInBatch) {
       metrics::MetricsRegistry::Global().Snapshot().CounterValue(
           "serve.batch_dedup");
   EXPECT_EQ(after - before, 1);
+}
+
+// --- Answer cache ------------------------------------------------------------
+
+// A repeated query is answered from the cache on the calling thread: it
+// never reaches the dispatcher, and it carries the first answer's bits.
+TEST(InferenceServiceTest, AnswerCacheHitsSkipTheDispatcher) {
+  Trained& t = Shared();
+  const std::vector<Query> queries = RetrievableQueries(t, 16);
+  std::vector<double> expected;
+  for (const Query& q : queries) expected.push_back(t.model->Predict(q));
+  std::atomic<int> batches{0};
+  ServeOptions options;
+  options.batch_window_us = 0;
+  options.deadline_ms = 0;
+  InferenceService service(*t.model, options);
+  service.SetBatchHookForTesting([&batches] { batches.fetch_add(1); });
+  for (const Query& q : queries) {
+    const ServeResponse first = service.Predict(q);
+    EXPECT_FALSE(first.cache_hit);
+    EXPECT_GE(first.batch_id, 0);
+  }
+  const int dispatched = batches.load();
+  EXPECT_EQ(dispatched, static_cast<int>(queries.size()));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const ServeResponse r = service.Predict(queries[i]);
+    EXPECT_TRUE(r.cache_hit) << "query " << i;
+    EXPECT_EQ(r.batch_id, -1);
+    EXPECT_EQ(r.batch_size, 0);
+    EXPECT_EQ(r.source, "model");
+    EXPECT_FALSE(r.degraded);
+    EXPECT_STREQ(r.precision, "fp64");
+    EXPECT_EQ(r.value, expected[i]) << "query " << i;
+    EXPECT_EQ(r.queue_us + r.window_us + r.compute_us + r.verify_us, 0);
+    EXPECT_EQ(r.cache_us, r.latency_us);
+  }
+  EXPECT_EQ(batches.load(), dispatched) << "a repeat reached the dispatcher";
+}
+
+// The dispatcher stores an answer even when its client already left on the
+// deadline, so the next request for the key is a hit with the model's bits.
+TEST(InferenceServiceTest, LateAnswerFillsTheCache) {
+  Trained& t = Shared();
+  const std::vector<Query> queries = RetrievableQueries(t, 2);
+  const double expected = t.model->Predict(queries[0]);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> batches{0};
+  ServeOptions options;
+  options.batch_window_us = 0;
+  options.deadline_ms = 1;
+  InferenceService service(*t.model, options);
+  service.SetBatchHookForTesting([&batches, released] {
+    if (batches.fetch_add(1) == 0) released.wait();
+  });
+  // Batch 1 holds the first query until its client has left on the
+  // deadline.
+  const ServeResponse late = service.Predict(queries[0]);
+  EXPECT_EQ(late.source, "deadline");
+  WaitFor([&] { return batches.load() == 1; });
+  release.set_value();
+  // The dispatcher runs one batch at a time: once a second request reaches
+  // batch 2's hook, batch 1 and its store are complete.
+  service.Predict(queries[1]);
+  WaitFor([&] { return batches.load() == 2; });
+  const ServeResponse r = service.Predict(queries[0]);
+  EXPECT_TRUE(r.cache_hit);
+  EXPECT_EQ(r.source, "model");
+  EXPECT_EQ(r.value, expected);
+}
+
+// An empty Tree of Chains caches its fallback answer, still tagged
+// empty_toc; deadline fallbacks are never stored (LateAnswerFillsTheCache).
+TEST(InferenceServiceTest, EmptyTocAnswersAreCached) {
+  const kg::Dataset dataset = test_graphs::RingWithIsland();
+  ChainsFormerModel model(dataset, SmallConfig());
+  model.Train();
+  const Query q{dataset.graph.FindEntity("island"),
+                dataset.graph.FindAttribute("age")};
+  ASSERT_TRUE(model.RetrieveChains(q).empty());
+  ServeOptions options;
+  options.batch_window_us = 0;
+  options.deadline_ms = 0;
+  InferenceService service(model, options);
+  const ServeResponse first = service.Predict(q);
+  EXPECT_EQ(first.source, "empty_toc");
+  EXPECT_FALSE(first.cache_hit);
+  const ServeResponse again = service.Predict(q);
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_TRUE(again.degraded);
+  EXPECT_EQ(again.source, "empty_toc");
+  EXPECT_EQ(again.value, first.value);
+  EXPECT_EQ(again.batch_id, -1);
+  EXPECT_STREQ(again.precision, "fp64");
+}
+
+TEST(InferenceServiceTest, ZeroCapacityCachesNothing) {
+  Trained& t = Shared();
+  const Query q = RetrievableQuery(t);
+  const double expected = t.model->Predict(q);
+  std::atomic<int> batches{0};
+  ServeOptions options;
+  options.batch_window_us = 0;
+  options.deadline_ms = 0;
+  options.cache_capacity = 0;
+  InferenceService service(*t.model, options);
+  service.SetBatchHookForTesting([&batches] { batches.fetch_add(1); });
+  const int64_t lookups0 =
+      CounterValue("serve.cache_hits") + CounterValue("serve.cache_misses");
+  for (int i = 0; i < 3; ++i) {
+    const ServeResponse r = service.Predict(q);
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_GE(r.batch_id, 0);
+    EXPECT_EQ(r.value, expected);
+  }
+  EXPECT_EQ(batches.load(), 3);
+  EXPECT_EQ(
+      CounterValue("serve.cache_hits") + CounterValue("serve.cache_misses"),
+      lookups0);
 }
 
 // Eight concurrent clients hammer the service; every request must complete

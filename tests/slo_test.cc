@@ -24,6 +24,8 @@
 #include "serve/service.h"
 #include "util/string_util.h"
 
+#include "ring_with_island.h"
+
 namespace chainsformer {
 namespace serve {
 namespace {
@@ -118,31 +120,8 @@ struct Tally {
   }
 };
 
-/// People in a ring who each know the next one, plus one person nobody
-/// knows: every ring member's age has chains, the island's has none.
-kg::Dataset RingWithIsland() {
-  kg::Dataset d;
-  d.name = "ring";
-  kg::KnowledgeGraph& g = d.graph;
-  const kg::AttributeId age = g.AddAttribute("age");
-  const kg::RelationId knows = g.AddRelation("knows");
-  std::vector<kg::EntityId> ring;
-  for (int i = 0; i < 12; ++i) ring.push_back(g.AddEntity("p" + std::to_string(i)));
-  const kg::EntityId island = g.AddEntity("island");
-  for (size_t i = 0; i < ring.size(); ++i) {
-    const double value = 20.0 + 3.0 * static_cast<double>(i);
-    g.AddTriple(ring[i], knows, ring[(i + 1) % ring.size()]);
-    g.AddNumeric(ring[i], age, value);
-    d.split.train.push_back({ring[i], age, value});
-  }
-  g.AddNumeric(island, age, 70.0);
-  g.Finalize();
-  d.split.test = {{island, age, 70.0}};
-  return d;
-}
-
 TEST(SloPinTest, ServiceWindowFiguresMatchTheAnswersGiven) {
-  const kg::Dataset dataset = RingWithIsland();
+  const kg::Dataset dataset = test_graphs::RingWithIsland();
   ChainsFormerModel model(dataset, SmallConfig());
   model.Train();
   const kg::AttributeId age = dataset.graph.FindAttribute("age");

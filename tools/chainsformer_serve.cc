@@ -70,7 +70,7 @@ int Usage() {
       "  --batch-window-us=N  micro-batch coalescing window (default 200)\n"
       "  --deadline-ms=N      per-request deadline; 0 disables (default 50)\n"
       "  --max-batch=N        requests per micro-batch cap (default 32)\n"
-      "  --cache-capacity=N   ToC cache entries; 0 disables (default 4096)\n"
+      "  --cache-capacity=N   answer cache entries; 0 disables (default 4096)\n"
       "  --compute-threads=N  dispatcher pool for intra-batch parallelism;\n"
       "                       1 = serial, 0 = hardware threads (default 0)\n"
       "  --precision=M        static-graph Linear precision: fp64 (default;\n"
